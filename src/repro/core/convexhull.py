@@ -29,11 +29,6 @@ __all__ = [
 ]
 
 
-def _cross(o: Tuple[float, float], a: Tuple[float, float], b: Tuple[float, float]) -> float:
-    """Z component of the cross product of vectors OA and OB."""
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def lower_convex_hull_points(points: Sequence[Tuple[float, float]],
                              tolerance: float = 0.0,
                              ) -> List[Tuple[float, float]]:
@@ -61,9 +56,14 @@ def lower_convex_hull_points(points: Sequence[Tuple[float, float]],
         raise ValueError("points must have strictly increasing x")
     hull: List[Tuple[float, float]] = []
     for p in pts:
-        # Keep turning clockwise (cross <= 0 would mean the middle point is
-        # above or on the chord for a lower hull).
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) <= tolerance:
+        px, py = p[0], p[1]
+        # Keep turning clockwise: a cross product OA x OP <= 0 (O, A the
+        # last two hull points) means A is on or above the chord OP.
+        while len(hull) >= 2:
+            o, a = hull[-2], hull[-1]
+            if not ((a[0] - o[0]) * (py - o[1])
+                    - (a[1] - o[1]) * (px - o[0]) <= tolerance):
+                break
             hull.pop()
         hull.append(p)
     return hull
@@ -76,9 +76,19 @@ def convex_hull(curve: MissCurve, tolerance: float = 0.0) -> MissCurve:
     original curve and the hull coincide); since :class:`MissCurve`
     interpolates linearly, evaluating the returned curve at any size yields
     the hull value there.
+
+    The exact hull (``tolerance == 0``) is computed once per curve and
+    memoised on it, so every planner step that needs the hull of the same
+    curve shares one object.
     """
-    hull_pts = lower_convex_hull_points(curve.points(), tolerance=tolerance)
-    return MissCurve.from_points(hull_pts)
+    if tolerance != 0.0:
+        return MissCurve.from_points(
+            lower_convex_hull_points(curve.points(), tolerance=tolerance))
+    hull = curve.__dict__.get("_hull")
+    if hull is None:
+        hull = MissCurve.from_points(lower_convex_hull_points(curve.points()))
+        object.__setattr__(curve, "_hull", hull)
+    return hull
 
 
 def hull_neighbors(curve: MissCurve, size: float) -> Tuple[float, float]:
@@ -97,13 +107,11 @@ def hull_neighbors(curve: MissCurve, size: float) -> Tuple[float, float]:
     if size < curve.min_size:
         raise ValueError(
             f"size {size} below curve's smallest sample {curve.min_size}")
-    hull = convex_hull(curve)
-    vertices = hull.sizes
+    vertices = convex_hull(curve).sizes
     if size >= vertices[-1]:
         return float(vertices[-1]), float(vertices[-1])
-    alpha = float(vertices[vertices <= size][-1])
-    beta = float(vertices[vertices > size][0])
-    return alpha, beta
+    index = int(np.searchsorted(vertices, size, side="right"))
+    return float(vertices[index - 1]), float(vertices[index])
 
 
 def is_convex(curve: MissCurve, tolerance: float = 1e-9) -> bool:

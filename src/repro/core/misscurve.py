@@ -26,7 +26,7 @@ from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["MissCurve"]
+__all__ = ["MissCurve", "stack_distance_misses"]
 
 
 def _as_float_array(values: Iterable[float], name: str) -> np.ndarray:
@@ -36,7 +36,7 @@ def _as_float_array(values: Iterable[float], name: str) -> np.ndarray:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must contain only finite values")
     return arr
 
@@ -69,14 +69,19 @@ class MissCurve:
             raise ValueError(
                 f"sizes and misses must have the same length "
                 f"({sizes_arr.size} != {misses_arr.size})")
-        if np.any(sizes_arr < 0):
+        if (sizes_arr < 0).any():
             raise ValueError("sizes must be non-negative")
-        if np.any(np.diff(sizes_arr) <= 0):
+        if (np.diff(sizes_arr) <= 0).any():
             raise ValueError("sizes must be strictly increasing")
-        if np.any(misses_arr < 0):
+        if (misses_arr < 0).any():
             raise ValueError("misses must be non-negative")
         object.__setattr__(self, "sizes", sizes_arr)
         object.__setattr__(self, "misses", misses_arr)
+
+    def __getstate__(self) -> dict:
+        # Only the samples are state; memoised derived curves (the convex
+        # hull) are rebuilt on demand and never pickled.
+        return {"sizes": self.sizes, "misses": self.misses}
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -118,23 +123,7 @@ class MissCurve:
             Optional capacities (in lines) at which to sample the curve.
             Defaults to ``0..len(histogram)`` (every line count).
         """
-        hist = np.asarray(histogram, dtype=float)
-        if hist.ndim != 1:
-            raise ValueError("histogram must be one-dimensional")
-        if np.any(hist < 0) or cold_misses < 0:
-            raise ValueError("histogram counts must be non-negative")
-        total = float(hist.sum() + cold_misses)
-        # misses(c) = accesses with distance >= c  (plus cold misses)
-        # cumulative hits at capacity c = sum(hist[:c])
-        cum_hits = np.concatenate(([0.0], np.cumsum(hist)))
-        full_sizes = np.arange(len(hist) + 1, dtype=float)
-        full_misses = total - cum_hits
-        if sizes is None:
-            return cls(full_sizes, full_misses)
-        sizes = np.asarray(list(sizes), dtype=float)
-        sampled = np.interp(sizes, full_sizes, full_misses,
-                            left=full_misses[0], right=full_misses[-1])
-        return cls(sizes, sampled)
+        return cls(*stack_distance_misses(histogram, cold_misses, sizes))
 
     # ------------------------------------------------------------------ #
     # Evaluation
@@ -239,7 +228,12 @@ class MissCurve:
         cache never hurts.  Used to clean up noisy measured curves before
         convex-hull computation.
         """
-        return MissCurve(self.sizes, np.minimum.accumulate(self.misses))
+        # A running minimum of valid misses is still valid: skip __init__.
+        envelope = object.__new__(MissCurve)
+        object.__setattr__(envelope, "sizes", self.sizes)
+        object.__setattr__(envelope, "misses",
+                           np.minimum.accumulate(self.misses))
+        return envelope
 
     def shifted(self, delta_misses: float) -> "MissCurve":
         """Return a curve with a constant added to all miss values."""
@@ -258,3 +252,32 @@ class MissCurve:
             return NotImplemented
         sizes = np.union1d(self.sizes, other.sizes)
         return MissCurve(sizes, self(sizes) + other(sizes))
+
+
+def stack_distance_misses(histogram: Sequence[float],
+                          cold_misses: float = 0.0,
+                          sizes: Sequence[float] | None = None,
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(sizes, misses)`` arrays of :meth:`MissCurve.from_stack_distances`.
+
+    The Mattson construction without the :class:`MissCurve` wrapper, for
+    callers that splice or rescale the arrays before building one curve.
+    The histogram is checked here; the returned arrays are not.
+    """
+    hist = np.asarray(histogram, dtype=float)
+    if hist.ndim != 1:
+        raise ValueError("histogram must be one-dimensional")
+    if np.any(hist < 0) or cold_misses < 0:
+        raise ValueError("histogram counts must be non-negative")
+    total = float(hist.sum() + cold_misses)
+    # misses(c) = accesses with distance >= c  (plus cold misses)
+    # cumulative hits at capacity c = sum(hist[:c])
+    cum_hits = np.concatenate(([0.0], np.cumsum(hist)))
+    full_sizes = np.arange(len(hist) + 1, dtype=float)
+    full_misses = total - cum_hits
+    if sizes is None:
+        return full_sizes, full_misses
+    sizes = np.asarray(list(sizes), dtype=float)
+    sampled = np.interp(sizes, full_sizes, full_misses,
+                        left=full_misses[0], right=full_misses[-1])
+    return sizes, sampled

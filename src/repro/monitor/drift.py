@@ -34,8 +34,8 @@ def curve_drift(previous: MissCurve, current: MissCurve) -> float:
     on average".
     """
     grid = np.union1d(previous.sizes, current.sizes)
-    prev = np.asarray([float(previous(s)) for s in grid])
-    curr = np.asarray([float(current(s)) for s in grid])
+    prev = previous(grid)
+    curr = current(grid)
     scale = max(float(prev.max(initial=0.0)), float(curr.max(initial=0.0)))
     if scale <= 0.0:
         return 0.0

@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.misscurve import MissCurve
+from ..core.misscurve import MissCurve, stack_distance_misses
 from ..cache.cache import materialize_addresses as _materialize
 from ..cache.hashing import mix64, mix64_array, seed_mix
 from .stack_distance import IncrementalStackMonitor
@@ -170,16 +170,19 @@ class UMON:
         if sizes is None:
             sizes = np.linspace(0, self.max_size, self.points)
         sizes = np.asarray(sizes, dtype=float)
-        sampled_sizes = sizes * self.sampling_rate
+        return MissCurve(sizes, self._misses(sizes))
+
+    def _misses(self, sizes: np.ndarray) -> np.ndarray:
+        """Unvalidated miss values of :meth:`miss_curve` at float ``sizes``."""
         dense, cold = self._histogram()
-        sampled_curve = MissCurve.from_stack_distances(
-            dense, cold_misses=cold, sizes=sampled_sizes)
+        if sizes.size == 0:
+            raise ValueError("sizes must not be empty")
+        _, sampled = stack_distance_misses(
+            dense, cold_misses=cold, sizes=sizes * self.sampling_rate)
         scale = 1.0 / self.sampling_rate if self._observed else 1.0
-        misses = sampled_curve.misses * scale
         # Guard against sampling noise: the curve should not exceed the
         # total access count.
-        misses = np.minimum(misses, self._total)
-        return MissCurve(sizes, misses)
+        return np.minimum(sampled * scale, self._total)
 
 
 class CombinedUMON:
@@ -229,15 +232,12 @@ class CombinedUMON:
         if sizes is None:
             sizes = np.linspace(0, self.max_size, 2 * self.primary.points)
         sizes = np.asarray(sizes, dtype=float)
-        primary_curve = self.primary.miss_curve(
-            sizes=sizes[sizes <= self.llc_size])
-        secondary_curve = self.secondary.miss_curve(
-            sizes=sizes[sizes > self.llc_size])
-        all_sizes = np.concatenate([primary_curve.sizes, secondary_curve.sizes])
-        all_misses = np.concatenate([primary_curve.misses, secondary_curve.misses])
-        if all_sizes.size == 0:
-            raise ValueError("no sizes requested")
-        curve = MissCurve(all_sizes, all_misses)
+        low = sizes[sizes <= self.llc_size]
+        high = sizes[sizes > self.llc_size]
+        # One validated curve over the spliced raw arrays.
+        curve = MissCurve(np.concatenate([low, high]),
+                          np.concatenate([self.primary._misses(low),
+                                          self.secondary._misses(high)]))
         # Splicing two independently sampled monitors can introduce a small
         # upward step at the boundary; enforce monotonicity.
         return curve.monotone_envelope()

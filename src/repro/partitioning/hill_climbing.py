@@ -12,7 +12,9 @@ benefit from it (Fig. 12).
 
 from __future__ import annotations
 
-from .base import Allocation, PartitioningProblem, total_misses
+import numpy as np
+
+from .base import Allocation, PartitioningProblem
 
 __all__ = ["hill_climbing"]
 
@@ -25,30 +27,45 @@ def hill_climbing(problem: PartitioningProblem) -> Allocation:
     partition index (deterministic).  Per-partition floors
     (``problem.minimums``) are honoured by starting every partition at its
     floor and distributing only the remaining budget.
+
+    As in UCP's marginal-utility tables, each curve is evaluated once, over
+    every size its partition could reach, and the greedy loop only walks
+    plain float lists.  The size grid is a running sum of steps, so each
+    size equals the one repeated ``+= granularity`` reaches, bit for bit.
     """
     if problem.minimums is not None:
-        sizes = list(problem.minimums)
-        budget = problem.total_size - sum(sizes)
+        floors = list(problem.minimums)
+        budget = problem.total_size - sum(floors)
     else:
-        sizes = [problem.minimum] * problem.num_partitions
+        floors = [problem.minimum] * problem.num_partitions
         budget = problem.total_size - problem.minimum * problem.num_partitions
     step = problem.granularity
-    current_misses = [float(curve(size))
-                      for curve, size in zip(problem.curves, sizes)]
     remaining_steps = int(budget / step + 1e-9)
+    # grids[i][k] / misses[i][k]: partition i's size / misses after k steps.
+    grids = []
+    misses = []
+    for curve, floor in zip(problem.curves, floors):
+        grid = np.cumsum([floor] + [step] * remaining_steps)
+        grids.append(grid.tolist())
+        misses.append(curve(grid).tolist())
+    taken = [0] * len(misses)
     for _ in range(remaining_steps):
         best_index = -1
         best_gain = -1.0
-        for i, curve in enumerate(problem.curves):
-            gain = current_misses[i] - float(curve(sizes[i] + step))
+        for i, row in enumerate(misses):
+            k = taken[i]
+            gain = row[k] - row[k + 1]
             if gain > best_gain + 1e-15:
                 best_gain = gain
                 best_index = i
         if best_index < 0:
             break
-        sizes[best_index] += step
-        current_misses[best_index] = float(
-            problem.curves[best_index](sizes[best_index]))
+        taken[best_index] += 1
+    # A partition granted nothing keeps its floor as given (an int stays
+    # an int), as the in-place ``+=`` loop left it.
+    sizes = [grid[k] if k else floor
+             for grid, k, floor in zip(grids, taken, floors)]
     return Allocation(sizes=tuple(sizes),
-                      total_misses=total_misses(problem.curves, sizes),
+                      total_misses=float(sum(
+                          row[k] for row, k in zip(misses, taken))),
                       algorithm="hill_climbing")

@@ -226,6 +226,18 @@ class ControllerResult:
                        r.interval, r.drift) for r in self.replans))
 
 
+def _shared(new: tuple, old: tuple) -> tuple:
+    """``new`` with each entry equal to its counterpart in ``old`` replaced
+    by that object (``old`` itself when nothing changed).
+
+    Entries are app ids, non-negative floats and configs of them, so
+    equal entries serialise identically and the swap changes no record.
+    """
+    if new == old:
+        return old
+    return tuple(o if n == o else n for n, o in zip(new, old))
+
+
 # --------------------------------------------------------------------------- #
 # The controller
 # --------------------------------------------------------------------------- #
@@ -338,6 +350,8 @@ class OnlineTalusController:
         self._floors: dict[str, float] = {}
         self._monitors: dict[str, CombinedUMON] = {}
         self._drift: dict[str, CurveDriftTracker] = {}
+        # app -> (monitor version, planning curve); see _planning_curve.
+        self._curves: dict[str, tuple[int, MissCurve]] = {}
         self._since_replan = 0
         self._seq = 0
         self.batches: list[BatchRecord] = []
@@ -506,6 +520,7 @@ class OnlineTalusController:
         self._floors.pop(app)
         self._monitors.pop(app)
         self._drift.pop(app)
+        self._curves.pop(app, None)
         self._replan(seq, "depart", depart_slot=slot)
 
     def _qos_update(self, seq: int, event: QosUpdate) -> None:
@@ -588,10 +603,20 @@ class OnlineTalusController:
             for slot in range(self.max_apps))
         floors = tuple(self._floors.get(app, 0.0) if app is not None else 0.0
                        for app in self._slots)
+        apps, planned = tuple(self._slots), tuple(configs)
+        if self.replans:
+            # Most slots keep their plan from one replan to the next; the
+            # records share those entries instead of holding equal copies,
+            # so a long run's records grow with the changes only.
+            last = self.replans[-1]
+            apps = _shared(apps, last.apps)
+            planned = _shared(planned, last.planned)
+            pair_totals = _shared(pair_totals, last.granted)
+            floors = _shared(floors, last.floors)
         self.replans.append(ReplanRecord(
-            seq=seq, trigger=trigger, apps=tuple(self._slots),
-            planned=tuple(configs), granted=pair_totals, floors=floors,
-            interval=self.interval, drift=float(drift)))
+            seq=seq, trigger=trigger, apps=apps, planned=planned,
+            granted=pair_totals, floors=floors, interval=self.interval,
+            drift=float(drift)))
 
     def _plan_active(self, active: list, adapt: bool
                      ) -> tuple[list, list, float]:
@@ -628,7 +653,7 @@ class OnlineTalusController:
             curves = []
             for i in warm:
                 app = active[i][1]
-                curve = self._planning_curve(self._monitors[app])
+                curve = self._planning_curve(app)
                 if adapt:
                     drift = max(drift, self._drift[app].update(curve))
                 curves.append(curve)
@@ -663,14 +688,27 @@ class OnlineTalusController:
                     degenerate=True))
         return sizes, configs, drift
 
-    def _planning_curve(self, monitor: CombinedUMON) -> MissCurve:
-        """The monitor's current curve in planner units (lines, misses
-        per kilo-access): normalising by each app's observed accesses
-        makes streams of different intensities commensurable."""
+    def _planning_curve(self, app: str) -> MissCurve:
+        """``app``'s current curve in planner units (lines, misses per
+        kilo-access): normalising by each app's observed accesses makes
+        streams of different intensities commensurable.
+
+        The curve is a pure function of the monitor's state, which only
+        changes when it sees accesses, so it is built once per *version*
+        (accesses seen) and reused by every replan until the next batch —
+        and with it the hull memoised on the curve.
+        """
+        monitor = self._monitors[app]
+        version = monitor.primary.total_accesses
+        cached = self._curves.get(app)
+        if cached is not None and cached[0] == version:
+            return cached[1]
         raw = monitor.miss_curve()
-        observed = max(monitor.primary.total_accesses, 1)
-        return MissCurve(raw.sizes,
-                         raw.misses * 1000.0 / observed).monotone_envelope()
+        observed = max(version, 1)
+        curve = MissCurve(raw.sizes,
+                          raw.misses * 1000.0 / observed).monotone_envelope()
+        self._curves[app] = (version, curve)
+        return curve
 
     def _quantize_config(self, config: TalusConfig) -> TalusConfig:
         """Snap a pair's shadow sizes onto the allocation quantum.

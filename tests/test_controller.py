@@ -29,6 +29,7 @@ import pytest
 
 from tests.faults import fault_queue
 
+from repro.core.convexhull import convex_hull
 from repro.core.misscurve import MissCurve
 from repro.jobs import ControllerJob, FaultPlan, run_controller_supervised
 from repro.monitor.drift import CurveDriftTracker, curve_drift
@@ -225,6 +226,74 @@ class TestEventMachine:
             ctl.handle(AccessBatch("a", np.empty(0, dtype=np.int64)))
             assert ctl.batches[-1].accesses == 0
             assert ctl.batches[-1].misses == 0
+
+
+# --------------------------------------------------------------------------- #
+# Curve versions
+# --------------------------------------------------------------------------- #
+def fresh_planning_curve(monitor) -> MissCurve:
+    """An app's planning curve built from scratch off its monitor."""
+    raw = monitor.miss_curve()
+    observed = max(monitor.primary.total_accesses, 1)
+    return MissCurve(raw.sizes,
+                     raw.misses * 1000.0 / observed).monotone_envelope()
+
+
+def count_reads(monkeypatch, monitor) -> list:
+    """Count ``monitor.miss_curve`` calls (one list entry per call)."""
+    reads = []
+    read = monitor.miss_curve
+
+    def counted(*args, **kwargs):
+        reads.append(1)
+        return read(*args, **kwargs)
+    monkeypatch.setattr(monitor, "miss_curve", counted)
+    return reads
+
+
+class TestCurveVersions:
+    """A planning curve is built once per monitor version (accesses seen)."""
+
+    def test_curve_reused_until_the_next_batch(self, monkeypatch):
+        with controller() as ctl:
+            ctl.handle(AppArrive("a"))
+            ctl.handle(AppArrive("b"))
+            ctl.handle(batch("a", seed=1))
+            ctl.handle(batch("b", seed=2))
+            reads = count_reads(monkeypatch, ctl._monitors["a"])
+            ctl.handle(AppArrive("c"))              # replan plans a from a curve
+            curve = ctl._planning_curve("a")
+            ctl.handle(AppArrive("d"))              # a saw no access since
+            assert len(reads) == 1
+            assert ctl._planning_curve("a") is curve
+            assert convex_hull(ctl._planning_curve("a")) is convex_hull(curve)
+            ctl.handle(batch("a", seed=3))
+            rebuilt = ctl._planning_curve("a")
+            assert len(reads) == 2
+            assert rebuilt is not curve
+            fresh = fresh_planning_curve(ctl._monitors["a"])
+            assert np.array_equal(rebuilt.sizes, fresh.sizes)
+            assert np.array_equal(rebuilt.misses, fresh.misses)
+
+    def test_rearrival_never_sees_the_departed_curve(self):
+        with controller() as ctl:
+            ctl.handle(AppArrive("a"))
+            ctl.handle(AppArrive("b"))
+            ctl.handle(batch("a", seed=1))
+            ctl.handle(batch("b", seed=2))
+            ctl.handle(AppArrive("c"))
+            old = ctl._planning_curve("a")
+            ctl.handle(AppDepart("a"))
+            ctl.handle(AppArrive("a"))
+            # As many accesses as before, so the monitor version repeats;
+            # a tight loop, so the curve does not.
+            ctl.handle(batch("a", lo=0, hi=16, seed=9))
+            ctl.handle(AppDepart("c"))              # replan plans the new a
+            new = ctl._planning_curve("a")
+            assert new is not old
+            assert not np.array_equal(new.misses, old.misses)
+            fresh = fresh_planning_curve(ctl._monitors["a"])
+            assert np.array_equal(new.misses, fresh.misses)
 
 
 # --------------------------------------------------------------------------- #

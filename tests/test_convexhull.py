@@ -1,8 +1,11 @@
 """Unit and property tests for convex hulls and cliff diagnostics."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (Cliff, MissCurve, convex_hull, convexity_gap,
                         find_cliffs, hull_neighbors, hull_segments, is_convex,
@@ -67,6 +70,39 @@ class TestConvexHull:
         assert hull(curve.max_size) == pytest.approx(curve(curve.max_size))
 
 
+class TestHullMemo:
+    """The exact hull is computed once per curve and memoised on it."""
+
+    def test_same_object_and_equal_to_a_fresh_hull(self, example_curve):
+        hull = convex_hull(example_curve)
+        assert convex_hull(example_curve) is hull
+        fresh = MissCurve.from_points(
+            lower_convex_hull_points(example_curve.points()))
+        assert np.array_equal(hull.sizes, fresh.sizes)
+        assert np.array_equal(hull.misses, fresh.misses)
+
+    def test_tolerance_hulls_are_not_memoised(self, example_curve):
+        exact = convex_hull(example_curve)
+        loose = convex_hull(example_curve, tolerance=1e-9)
+        assert loose is not exact
+        assert convex_hull(example_curve, tolerance=1e-9) is not loose
+        assert convex_hull(example_curve) is exact
+
+    def test_equality_hash_and_pickle_ignore_the_memo(self, example_curve):
+        twin = MissCurve(example_curve.sizes.copy(),
+                         example_curve.misses.copy())
+        before = hash(example_curve)
+        convex_hull(example_curve)
+        assert hash(example_curve) == before == hash(twin)
+        assert example_curve == twin
+        assert pickle.dumps(example_curve) == pickle.dumps(twin)
+        restored = pickle.loads(pickle.dumps(example_curve))
+        assert restored == example_curve
+        assert "_hull" not in vars(restored)
+        assert np.array_equal(convex_hull(restored).sizes,
+                              convex_hull(example_curve).sizes)
+
+
 class TestHullNeighbors:
     def test_bracketing_inside_cliff(self, example_curve):
         alpha, beta = hull_neighbors(example_curve, 4.0)
@@ -86,6 +122,18 @@ class TestHullNeighbors:
         curve = MissCurve([1, 2], [5, 1])
         with pytest.raises(ValueError):
             hull_neighbors(curve, 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=miss_curves(), where=st.floats(0.0, 1.25))
+    def test_matches_a_vertex_mask_scan(self, curve, where):
+        size = curve.min_size + where * (curve.max_size - curve.min_size)
+        vertices = convex_hull(curve).sizes
+        if size >= vertices[-1]:
+            expected = (float(vertices[-1]), float(vertices[-1]))
+        else:
+            expected = (float(vertices[vertices <= size][-1]),
+                        float(vertices[vertices > size][0]))
+        assert hull_neighbors(curve, size) == expected
 
 
 class TestIsConvex:

@@ -4,11 +4,17 @@ UMON sampling, set-sampled multi-point monitors on the array backend)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache import LRUPolicy
+from repro.core.misscurve import MissCurve
 from repro.monitor import (UMON, CombinedUMON, MultiPointMonitor,
                            StackDistanceMonitor, lru_miss_curve,
                            stack_distance_histogram)
+from repro.monitor.drift import curve_drift
+
+from .conftest import miss_curves
 
 
 def brute_force_lru_misses(trace, capacity):
@@ -102,6 +108,54 @@ class TestUMON:
             CombinedUMON(llc_size=0)
         with pytest.raises(ValueError):
             CombinedUMON(llc_size=100, coverage_ratio=2.0)
+
+    @staticmethod
+    def composed_umon_curve(umon, sizes):
+        """A UMON curve built the long way: a Mattson curve over the
+        sampled sizes, rescaled, capped, and wrapped again."""
+        dense, cold = umon._histogram()
+        sampled = MissCurve.from_stack_distances(
+            dense, cold_misses=cold, sizes=sizes * umon.sampling_rate)
+        scale = 1.0 / umon.sampling_rate if umon.sampled_accesses else 1.0
+        return MissCurve(sizes, np.minimum(sampled.misses * scale,
+                                           umon.total_accesses))
+
+    def composed_combined_curve(self, combined):
+        sizes = np.linspace(0, combined.max_size, 2 * combined.primary.points)
+        low = self.composed_umon_curve(
+            combined.primary, sizes[sizes <= combined.llc_size])
+        high = self.composed_umon_curve(
+            combined.secondary, sizes[sizes > combined.llc_size])
+        spliced = MissCurve(np.concatenate([low.sizes, high.sizes]),
+                            np.concatenate([low.misses, high.misses]))
+        return MissCurve(spliced.sizes,
+                         np.minimum.accumulate(spliced.misses))
+
+    def test_combined_curve_pinned_to_the_composed_curves(self):
+        rng = np.random.default_rng(12)
+        combined = CombinedUMON(llc_size=2048, points=33,
+                                primary_rate=1 / 4, coverage_ratio=0.25,
+                                seed=5)
+        for hi in (3000, 600, 9000):          # read between batches
+            combined.record_trace(rng.integers(0, hi, 4000) * 64)
+            curve = combined.miss_curve()
+            expected = self.composed_combined_curve(combined)
+            assert np.array_equal(curve.sizes, expected.sizes)
+            assert np.array_equal(curve.misses, expected.misses)
+            for umon in (combined.primary, combined.secondary):
+                sizes = np.linspace(0, umon.max_size, umon.points)
+                single = umon.miss_curve()
+                reference = self.composed_umon_curve(umon, sizes)
+                assert np.array_equal(single.sizes, reference.sizes)
+                assert np.array_equal(single.misses, reference.misses)
+
+    def test_combined_curve_needs_sizes_on_both_sides(self):
+        combined = CombinedUMON(llc_size=1024)
+        combined.record_trace(np.arange(500) * 64)
+        with pytest.raises(ValueError, match="empty"):
+            combined.miss_curve(sizes=[0.0, 512.0])
+        with pytest.raises(ValueError, match="empty"):
+            combined.miss_curve(sizes=[2048.0, 4096.0])
 
 
 class TestMultiPointMonitor:
@@ -321,6 +375,37 @@ class TestMultiPointFastPath:
         # misses remain (the sampled estimate must see the same cliff).
         assert float(curve(3072)) > 0.9 * total
         assert float(curve(4096)) < 0.15 * total
+
+
+def scalar_drift(previous: MissCurve, current: MissCurve) -> float:
+    """``curve_drift`` evaluated one grid point at a time (the oracle)."""
+    grid = np.union1d(previous.sizes, current.sizes)
+    prev = np.asarray([float(previous(s)) for s in grid])
+    curr = np.asarray([float(current(s)) for s in grid])
+    scale = max(float(prev.max(initial=0.0)), float(curr.max(initial=0.0)))
+    if scale <= 0.0:
+        return 0.0
+    return float(np.mean(np.abs(curr - prev)) / scale)
+
+
+class TestBatchedDrift:
+    """One ``np.interp`` per curve gives the per-point scores exactly."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(previous=miss_curves(), current=miss_curves())
+    def test_mismatched_grids(self, previous, current):
+        assert curve_drift(previous, current) == \
+            scalar_drift(previous, current)
+
+    @settings(max_examples=80, deadline=None)
+    @given(previous=miss_curves(), current=miss_curves(),
+           gap=st.floats(0.5, 100.0))
+    def test_disjoint_grids(self, previous, current, gap):
+        shifted = MissCurve(current.sizes + previous.max_size + gap,
+                            current.misses)
+        assert not np.intersect1d(previous.sizes, shifted.sizes).size
+        for a, b in ((previous, shifted), (shifted, previous)):
+            assert curve_drift(a, b) == scalar_drift(a, b)
 
 
 class TestIncrementalDriftParity:

@@ -1,5 +1,7 @@
 """Tests for the software partitioning algorithms and the Talus wrapper."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -73,6 +75,122 @@ class TestHillClimbing:
                                       granularity=0.25)
         result = hill_climbing(problem)
         assert sum(result.sizes) <= 3 + 1e-9
+
+
+def scalar_hill_climbing(problem: PartitioningProblem) -> Allocation:
+    """The per-step scalar greedy loop: the oracle of the array version."""
+    if problem.minimums is not None:
+        sizes = list(problem.minimums)
+        budget = problem.total_size - sum(sizes)
+    else:
+        sizes = [problem.minimum] * problem.num_partitions
+        budget = problem.total_size - problem.minimum * problem.num_partitions
+    step = problem.granularity
+    current_misses = [float(curve(size))
+                      for curve, size in zip(problem.curves, sizes)]
+    remaining_steps = int(budget / step + 1e-9)
+    for _ in range(remaining_steps):
+        best_index = -1
+        best_gain = -1.0
+        for i, curve in enumerate(problem.curves):
+            gain = current_misses[i] - float(curve(sizes[i] + step))
+            if gain > best_gain + 1e-15:
+                best_gain = gain
+                best_index = i
+        if best_index < 0:
+            break
+        sizes[best_index] += step
+        current_misses[best_index] = float(
+            problem.curves[best_index](sizes[best_index]))
+    return Allocation(sizes=tuple(sizes),
+                      total_misses=total_misses(problem.curves, sizes),
+                      algorithm="hill_climbing")
+
+
+def nudged(curve: MissCurve, ulps) -> MissCurve:
+    """``curve`` with each miss value moved by a few ulps (near-ties)."""
+    misses = []
+    for value, k in zip(curve.misses.tolist(), ulps):
+        for _ in range(abs(k)):
+            value = math.nextafter(value, math.inf if k > 0 else 0.0)
+        misses.append(value)
+    return MissCurve(curve.sizes, misses)
+
+
+@st.composite
+def hill_problems(draw):
+    """Partitioning problems mixing smooth curves, plateaus and cliffs,
+    near-tied copies (gains a few ulps, i.e. under 1e-15, apart), floors
+    and zero budgets."""
+    scale = draw(st.sampled_from([2.0, 100.0]))
+    curves = draw(st.lists(miss_curves(max_points=8, max_miss=scale),
+                           min_size=1, max_size=3))
+    if draw(st.booleans()):
+        curves.append(cliff_curve(
+            plateau=draw(st.floats(1.0, scale)),
+            cliff_at=draw(st.sampled_from([1.0, 2.5, 4.0])),
+            after=draw(st.sampled_from([0.0, 0.5]))))
+    for source in draw(st.lists(st.sampled_from(list(curves)), max_size=3)):
+        ulps = draw(st.lists(st.integers(-3, 3), min_size=len(source),
+                             max_size=len(source)))
+        curves.append(nudged(source, ulps))
+    curves = draw(st.permutations(curves))
+    n = len(curves)
+    granularity = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0, 3.0]))
+    total = draw(st.floats(0.0, 48.0))
+    mode = draw(st.sampled_from(["none", "minimum", "minimums",
+                                 "zero_budget"]))
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+    kwargs = {}
+    if mode == "minimum":
+        kwargs["minimum"] = total * weights[0] / n
+    elif mode in ("minimums", "zero_budget"):
+        floors = [total * w / n for w in weights]
+        if mode == "zero_budget":
+            total = sum(floors)
+        kwargs["minimums"] = tuple(floors)
+    return PartitioningProblem(curves=tuple(curves), total_size=total,
+                               granularity=granularity, **kwargs)
+
+
+class TestHillClimbingMatchesScalarOracle:
+    """The array greedy loop equals the scalar loop bit for bit."""
+
+    @staticmethod
+    def assert_identical(problem):
+        array = hill_climbing(problem)
+        oracle = scalar_hill_climbing(problem)
+        assert array.sizes == oracle.sizes
+        assert [type(s) for s in array.sizes] == \
+            [type(s) for s in oracle.sizes]
+        assert array.total_misses == oracle.total_misses
+        return array
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=hill_problems())
+    def test_generated_problems(self, problem):
+        self.assert_identical(problem)
+
+    def test_near_ties_keep_the_lowest_index_rule(self):
+        base = MissCurve([0, 1, 2], [2.0, 1.0, 0.0])
+        # Gain 1 + 2**-52: under the 1e-15 tie tolerance, so index 0 wins.
+        close = MissCurve([0, 1, 2], [2.0, 1.0 - 2.0 ** -52, 0.0])
+        # Gain 1 + 2**-49 (about 1.8e-15): a real win for index 1.
+        ahead = MissCurve([0, 1, 2], [2.0, 1.0 - 2.0 ** -49, 0.0])
+        tie = self.assert_identical(PartitioningProblem(
+            curves=(base, close), total_size=1, granularity=1))
+        assert tie.sizes == (1.0, 0.0)
+        win = self.assert_identical(PartitioningProblem(
+            curves=(base, ahead), total_size=1, granularity=1))
+        assert win.sizes == (0.0, 1.0)
+
+    def test_zero_budget_and_integer_floors(self):
+        curves = (convex_curve(), cliff_curve())
+        for minimums in ((2, 3), (0, 0)):
+            problem = PartitioningProblem(curves=curves,
+                                          total_size=sum(minimums),
+                                          granularity=0.5, minimums=minimums)
+            assert self.assert_identical(problem).sizes == minimums
 
 
 class TestLookahead:
