@@ -41,7 +41,7 @@ import numpy as np
 from ._native import BatchTask, get_kernel, native_available, resolve_threads
 
 __all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "PARALLEL_MODES",
-           "i64_ptr", "u64_ptr"]
+           "deal", "i64_ptr", "u64_ptr"]
 
 #: Values accepted by the drivers' ``parallel=`` parameter.
 PARALLEL_MODES = ("auto", "threads", "processes")
@@ -61,6 +61,18 @@ def resolve_parallel(mode: str) -> str:
     if mode == "auto":
         return "threads" if native_available() else "processes"
     return mode
+
+
+def deal(items: Iterable, n: int) -> list[list]:
+    """Deal ``items`` round-robin into at most ``n`` non-empty groups.
+
+    The one sharding rule of every process fan-out (pooled sweeps and
+    sampled windows, supervised jobs, the job CLI).  Item ``i`` lands in
+    group ``i % groups``; no group is empty, so empty input gives ``[]``.
+    """
+    items = list(items)
+    n = max(1, min(int(n), len(items)))
+    return [items[i::n] for i in range(n)] if items else []
 
 
 def i64_ptr(array: np.ndarray):

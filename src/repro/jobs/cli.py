@@ -35,6 +35,7 @@ import sys
 import time
 from pathlib import Path
 
+from ..cache.threadbatch import deal
 from ..core.atomicio import atomic_write_json
 from .bank import DEFAULT_BANK_ENV, ResultBank
 from .payloads import MatrixSweepJob, SweepJob, TraceRef
@@ -110,12 +111,8 @@ def _submit_payloads(args, trace) -> list:
     from ..sim.sweep import SweepSpec
     spec = SweepSpec(policies=policies, sizes_mb=sizes, ways=args.ways,
                      base_seed=args.seed, backend=args.backend)
-    configs = spec.expand()
-    shards = max(1, min(args.workers, len(configs)))
-    groups = [configs[i::shards] for i in range(shards)]
-    return [SweepJob(trace=trace, configs=tuple(group),
-                     backend=spec.backend)
-            for group in groups if group]
+    return [SweepJob(trace=trace, configs=shard, backend=spec.backend)
+            for shard in deal(spec.expand(), args.workers)]
 
 
 def _cmd_submit(args) -> int:

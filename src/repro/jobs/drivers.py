@@ -1,291 +1,47 @@
-"""Supervised counterparts of the top-level sim drivers.
+"""The single supervised entry point of the sim drivers.
 
-These are what ``run_sweep(..., supervise=True)``,
-``run_mix_sweep(..., supervise=True)`` and
-``ReconfiguringSharedRun(supervise=True)`` delegate to.  Each one maps
-the driver's inputs onto job payloads, runs them through a
-:class:`~repro.jobs.queue.JobQueue`, and reassembles the driver's normal
-result type — bit-identical to the unsupervised path, because every
+``supervise=True`` on :func:`~repro.sim.sweep.run_sweep`,
+:func:`~repro.sim.mixsweep.run_mix_sweep`,
+:func:`~repro.sampling.driver.run_sampled` and
+:func:`~repro.sim.multicore.run_churn` builds the driver's frozen job
+payloads (:class:`~repro.jobs.payloads.SweepJob`,
+:class:`~repro.jobs.payloads.MixSweepJob`,
+:class:`~repro.jobs.payloads.SamplingJob`,
+:class:`~repro.jobs.payloads.ControllerJob`) and hands them to
+:func:`run_jobs`; a supervised matrix sweep is
+``SweepResult.merge(run_jobs(MatrixSweepJob.shards_for_matrix(...)))``.
+Results are bit-identical to the unsupervised path, because every
 per-unit seed in this codebase is a stable function of the unit's
 identity, never of its position in a batch or of which worker ran it.
-
-Fault-injection hooks (``faults=``) take a mapping from unit index (or
-mix name) to a :class:`~repro.jobs.faults.FaultPlan`; they exist for the
-fault suite and for operators who want to drill recovery paths, and are
-excluded from job keys so a faulted run banks under the same address as
-a clean one.
 """
 
 from __future__ import annotations
 
 from .bank import ResultBank
-from .payloads import (MatrixSweepJob, MixSweepJob, SamplingJob, SweepJob,
-                       as_trace_source)
-from .queue import JobQueue, RetryPolicy
+from .queue import JobQueue
 
-__all__ = ["run_sweep_supervised", "run_matrix_sweep_supervised",
-           "run_mix_sweep_supervised", "run_shared_supervised",
-           "run_sampled_supervised", "run_controller_supervised",
-           "supervised_queue"]
+__all__ = ["run_jobs"]
 
 
-def supervised_queue(bank=None, *, max_workers: int = 2,
-                     job_timeout: float | None = 600.0,
-                     heartbeat_timeout: float = 30.0,
-                     retry: RetryPolicy | None = None,
-                     start_method: str | None = None) -> JobQueue:
-    """A :class:`JobQueue` with the drivers' defaults applied."""
-    return JobQueue(bank, max_workers=max_workers, job_timeout=job_timeout,
-                    heartbeat_timeout=heartbeat_timeout, retry=retry,
-                    start_method=start_method)
+def run_jobs(payloads, *, bank: ResultBank | str | None = None,
+             queue: JobQueue | None = None, max_workers: int = 2,
+             job_timeout: float | None = 600.0) -> list:
+    """Run ``payloads`` supervised; return their results in submission order.
 
-
-def _split(items, shards: int) -> list[list]:
-    """Deal ``items`` round-robin into at most ``shards`` groups."""
-    shards = max(1, min(shards, len(items)))
-    groups = [[] for _ in range(shards)]
-    for i, item in enumerate(items):
-        groups[i % shards].append(item)
-    return [g for g in groups if g]
-
-
-def run_sweep_supervised(trace, spec, *, backend: str = "auto",
-                         max_workers: int | None = None,
-                         bank: ResultBank | str | None = None,
-                         queue: JobQueue | None = None,
-                         job_timeout: float | None = 600.0,
-                         faults=None):
-    """Supervised :func:`~repro.sim.sweep.run_sweep`.
-
-    Configs are sharded round-robin across ``max_workers`` jobs; inside
-    each job the worker banks every completed config, so a crash costs
-    at most one config and a resubmission resumes from the bank.
-    Returns the usual :class:`~repro.sim.sweep.SweepResult`.
+    The payloads go to ``queue`` when one is given (it stays open, and
+    ``bank``/``max_workers``/``job_timeout`` are its own business);
+    otherwise to a :class:`~repro.jobs.queue.JobQueue` over ``bank`` that
+    this call owns and closes before returning.  Each result is the
+    payload's loaded domain object; a job that does not succeed raises
+    :class:`~repro.jobs.queue.JobFailed`.
     """
-    from ..sim.sweep import SweepResult, SweepSpec
-    if isinstance(spec, SweepSpec):
-        configs = list(spec.expand())
-        if backend == "auto":
-            backend = spec.backend
-        if max_workers is None:
-            max_workers = spec.max_workers
-    else:
-        configs = list(spec)
-    source = as_trace_source(trace)
-    workers = max_workers if max_workers is not None else 2
     owns_queue = queue is None
     if owns_queue:
-        queue = supervised_queue(bank, max_workers=workers,
-                                 job_timeout=job_timeout)
+        queue = JobQueue(bank, max_workers=max_workers,
+                         job_timeout=job_timeout)
     try:
-        jobs = []
-        for shard_index, shard in enumerate(_split(configs, workers)):
-            fault = None if faults is None else faults.get(shard_index)
-            jobs.append(queue.submit(SweepJob(
-                trace=source, configs=tuple(shard), backend=backend,
-                fault=fault)))
-        merged: dict = {}
-        instructions = 0
-        for job in jobs:
-            result = job.result()          # raises JobFailed on failure
-            merged.update(result.stats)
-            instructions = result.instructions or instructions
-        return SweepResult(merged, instructions=instructions)
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_matrix_sweep_supervised(trace, *, sizes_mb, policies=("LRU",),
-                                schemes=None, num_partitions: int = 1,
-                                ways: int = 16, backend: str = "auto",
-                                seed: int | None = None,
-                                max_workers: int = 2,
-                                bank: ResultBank | str | None = None,
-                                queue: JobQueue | None = None,
-                                job_timeout: float | None = 600.0,
-                                faults=None):
-    """Supervised :func:`~repro.sim.sweep.run_matrix_sweep`.
-
-    The matrix shards one ``(policy, scheme)`` row per job; inside each
-    job the worker banks every completed cell under its own content key,
-    so a crash costs at most one cell and a resubmission resumes from
-    the bank.  Per-cell seeds are stable functions of the cell itself,
-    so the merged result is bit-identical to one unsupervised
-    whole-matrix call.  ``faults`` maps row index to a
-    :class:`~repro.jobs.faults.FaultPlan`.  Returns the usual
-    cell-keyed :class:`~repro.sim.sweep.SweepResult`.
-    """
-    from ..sim.sweep import SweepResult
-    shards = MatrixSweepJob.shards_for_matrix(
-        trace, sizes_mb=sizes_mb, policies=policies, schemes=schemes,
-        num_partitions=num_partitions, ways=ways, backend=backend,
-        seed=seed, faults=faults)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=max_workers,
-                                 job_timeout=job_timeout)
-    try:
-        jobs = [queue.submit(shard) for shard in shards]
-        merged: dict = {}
-        instructions = 0
-        for job in jobs:
-            result = job.result()          # raises JobFailed on failure
-            merged.update(result.stats)
-            instructions = result.instructions or instructions
-        return SweepResult(merged, instructions=instructions)
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_sampled_supervised(trace, cache, spec, units, *,
-                           max_workers: int = 2,
-                           bank: ResultBank | str | None = None,
-                           queue: JobQueue | None = None,
-                           job_timeout: float | None = 600.0,
-                           faults=None) -> list[tuple]:
-    """Supervised window execution for
-    :func:`~repro.sampling.driver.run_sampled`.
-
-    Window units are sharded round-robin across ``max_workers``
-    :class:`SamplingJob` payloads; every completed window banks under
-    its own content key, so a killed worker loses at most one window and
-    a resubmission (same trace/cache/spec) resumes from the bank.
-    ``faults`` maps shard index to a :class:`~repro.jobs.faults.FaultPlan`
-    (fault-suite hook).  Returns the raw per-window rows; the caller
-    assembles the :class:`~repro.sampling.estimator.SampledResult`.
-    """
-    del spec  # window identity is fully encoded in the pre-derived units
-    source = as_trace_source(trace)
-    units = list(units)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=max_workers,
-                                 job_timeout=job_timeout)
-    try:
-        jobs = []
-        for shard_index, shard in enumerate(_split(units, max_workers)):
-            fault = None if faults is None else faults.get(shard_index)
-            jobs.append(queue.submit(SamplingJob(
-                trace=source, cache=cache, units=tuple(shard),
-                fault=fault)))
-        rows: list[tuple] = []
-        for job in jobs:
-            rows.extend(job.result())      # raises JobFailed on failure
-        return rows
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_mix_sweep_supervised(mixes, spec, *,
-                             bank: ResultBank | str | None = None,
-                             queue: JobQueue | None = None,
-                             max_workers: int | None = None,
-                             job_timeout: float | None = 1800.0,
-                             faults=None):
-    """Supervised :func:`~repro.sim.mixsweep.run_mix_sweep`.
-
-    One job per mix (the natural isolation unit of the closed loop);
-    each finished mix banks individually, so an interrupted sweep
-    resumes by skipping the mixes already in the bank.  Returns the
-    usual :class:`~repro.sim.mixsweep.MixSweepResult`.
-    """
-    from ..sim.mixsweep import MixSweepResult
-    mixes = list(mixes)
-    workers = max_workers if max_workers is not None \
-        else max(spec.max_workers, 1)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=workers,
-                                 job_timeout=job_timeout)
-    try:
-        jobs = []
-        for mix in mixes:
-            fault = None if faults is None else faults.get(mix.name)
-            jobs.append(queue.submit(MixSweepJob(spec=spec, mix=mix,
-                                                 fault=fault)))
-        records = [job.result() for job in jobs]
-        return MixSweepResult(spec, mixes, records)
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_controller_supervised(spec, *, bank=None,
-                              queue: JobQueue | None = None,
-                              job_timeout: float | None = 1800.0,
-                              fault=None, algorithm=None,
-                              **controller_kwargs):
-    """Run one online-controller churn stream
-    (:func:`~repro.sim.multicore.run_churn` with ``supervise=True``) in a
-    supervised worker; returns its
-    :class:`~repro.sim.controller.ControllerResult`.
-
-    ``algorithm`` may be a registered name or the registered callable
-    itself; the remaining keyword arguments are the scalar
-    :class:`~repro.jobs.payloads.ControllerJob` fields (scheme, interval
-    and drift knobs, ...).  The whole stream banks as one unit under the
-    spec's content key, so resubmitting after a crash (or a mid-stream
-    SIGKILL — see the fault suite) resumes from the bank bit-identically.
-    """
-    from ..sim.mixsweep import ALGORITHMS
-    from .payloads import ControllerJob
-    if algorithm is None:
-        algorithm = "hill"
-    if not isinstance(algorithm, str):
-        names = {id(fn): name for name, fn in ALGORITHMS.items()}
-        name = names.get(id(algorithm))
-        if name is None:
-            raise ValueError(
-                "supervise=True needs a registered partitioning algorithm "
-                f"({', '.join(sorted(ALGORITHMS))}); got "
-                f"{getattr(algorithm, '__name__', algorithm)!r}")
-        algorithm = name
-    payload = ControllerJob(spec=spec, algorithm=algorithm, fault=fault,
-                            **controller_kwargs)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=1,
-                                 job_timeout=job_timeout)
-    try:
-        return queue.submit(payload).result()
-    finally:
-        if owns_queue:
-            queue.close()
-
-
-def run_shared_supervised(run, traces, *, bank=None,
-                          queue: JobQueue | None = None,
-                          job_timeout: float | None = 1800.0,
-                          fault=None):
-    """Run one :class:`~repro.sim.multicore.ReconfiguringSharedRun` in a
-    supervised worker; returns its interval records."""
-    from ..sim.mixsweep import ALGORITHMS
-    from .payloads import SharedRunJob
-    names = {id(fn): name for name, fn in ALGORITHMS.items()}
-    algorithm = names.get(id(run.algorithm))
-    if algorithm is None:
-        raise ValueError(
-            "supervise=True needs a registered partitioning algorithm "
-            f"({', '.join(sorted(ALGORITHMS))}); got "
-            f"{getattr(run.algorithm, '__name__', run.algorithm)!r}")
-    payload = SharedRunJob(
-        traces=tuple(as_trace_source(t) for t in traces),
-        total_mb=run.total_mb, scheme=run.scheme, algorithm=algorithm,
-        interval_accesses=run.interval_accesses,
-        safety_margin=run.safety_margin,
-        warmup_intervals=run.warmup_intervals,
-        monitor_points=run.monitor_points,
-        granularity_mb=run.granularity_mb, backend=run.backend,
-        fault=fault)
-    owns_queue = queue is None
-    if owns_queue:
-        queue = supervised_queue(bank, max_workers=1,
-                                 job_timeout=job_timeout)
-    try:
-        return queue.submit(payload).result()
+        jobs = [queue.submit(payload) for payload in payloads]
+        return [job.result() for job in jobs]
     finally:
         if owns_queue:
             queue.close()

@@ -4,8 +4,8 @@ A payload is a frozen, picklable dataclass wrapping the repo's existing
 declarative specs (:class:`~repro.sim.sweep.SweepSpec` configs,
 :class:`~repro.sim.mixsweep.MixSweepSpec` mixes,
 :class:`~repro.cache.spec.CacheSpec` replays, whole
-:class:`~repro.sim.multicore.ReconfiguringSharedRun` scenarios) together
-with the *trace identity* the job runs against.  Payloads define three
+:class:`~repro.sim.multicore.ChurnSpec` controller runs) together with
+the *trace identity* the job runs against.  Payloads define three
 things:
 
 * their canonical identity (every ``compare=True`` field feeds
@@ -38,8 +38,8 @@ from .faults import FaultPlan
 from .keys import job_key
 
 __all__ = ["TraceRef", "InlineTrace", "as_trace_source", "JobContext",
-           "SweepJob", "MatrixSweepJob", "MixSweepJob", "SharedRunJob",
-           "ControllerJob", "CacheJob", "SamplingJob", "stats_to_payload",
+           "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
+           "CacheJob", "SamplingJob", "stats_to_payload",
            "stats_from_payload"]
 
 
@@ -456,70 +456,6 @@ class MixSweepJob:
         """Rebuild the :class:`~repro.sim.mixsweep.MixRunRecord`."""
         from ..sim.mixsweep import MixRunRecord
         return MixRunRecord.from_payload(payload)
-
-
-@dataclass(frozen=True)
-class SharedRunJob:
-    """A whole :class:`~repro.sim.multicore.ReconfiguringSharedRun`.
-
-    The run's parameters travel as plain values (the algorithm by its
-    :data:`~repro.sim.mixsweep.ALGORITHMS` name); its traces as keyable
-    sources.  The payload is the interval records, from which the
-    submitting side reconstructs ``run.records`` bit-identically.
-    """
-
-    traces: tuple
-    total_mb: float
-    scheme: str = "ideal"
-    algorithm: str = "hill"
-    interval_accesses: int = 20_000
-    safety_margin: float = 0.05
-    warmup_intervals: int = 1
-    monitor_points: int = 33
-    granularity_mb: float | None = None
-    backend: str = "auto"
-    fault: FaultPlan | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "traces",
-                           tuple(as_trace_source(t) for t in self.traces))
-        from ..sim.mixsweep import ALGORITHMS
-        if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; valid "
-                             f"algorithms: {', '.join(sorted(ALGORITHMS))}")
-
-    def execute(self, ctx: JobContext) -> dict:
-        from ..sim.mixsweep import ALGORITHMS
-        from ..sim.multicore import ReconfiguringSharedRun
-        ctx.unit("unit", 0)
-        run = ReconfiguringSharedRun(
-            total_mb=self.total_mb, scheme=self.scheme,
-            algorithm=ALGORITHMS[self.algorithm],
-            interval_accesses=self.interval_accesses,
-            safety_margin=self.safety_margin,
-            warmup_intervals=self.warmup_intervals,
-            monitor_points=self.monitor_points,
-            granularity_mb=self.granularity_mb,
-            backend=self.backend)
-        records = run.run([t.materialize() for t in self.traces])
-        ctx.beat()
-        return {"records": [
-            {"index": r.index, "accesses": list(r.accesses),
-             "misses": list(r.misses),
-             "allocations_mb": list(r.allocations_mb)}
-            for r in records]}
-
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the list of interval records."""
-        from ..sim.multicore import SharedIntervalRecord
-        return [SharedIntervalRecord(
-                    index=int(r["index"]),
-                    accesses=tuple(int(a) for a in r["accesses"]),
-                    misses=tuple(int(m) for m in r["misses"]),
-                    allocations_mb=tuple(float(a)
-                                         for a in r["allocations_mb"]))
-                for r in payload["records"]]
 
 
 @dataclass(frozen=True)

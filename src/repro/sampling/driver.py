@@ -54,7 +54,7 @@ from ..cache.factory import SEEDED_POLICIES
 from ..cache.hashing import derive_seed
 from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import resolve_parallel, run_tasks
+from ..cache.threadbatch import deal, resolve_parallel, run_tasks
 from ..workloads.access import Trace
 from ..workloads.scale import ChunkedTrace
 from ..workloads.tracestore import TraceHandle, TraceStore
@@ -365,13 +365,12 @@ def _pool_source(trace, view, trace_store):
 def _fan_out(trace, view, cache, units, simulate, max_workers,
              trace_store) -> list[tuple]:
     from concurrent.futures import ProcessPoolExecutor
-    workers = min(max_workers, len(units))
-    shards = [units[i::workers] for i in range(workers)]
+    shards = deal(units, max_workers)
     source, owned = _pool_source(trace, view, trace_store)
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
             futures = [pool.submit(simulate, source, cache, shard)
-                       for shard in shards if shard]
+                       for shard in shards]
             return [row for future in futures for row in future.result()]
     finally:
         if owned is not None:
@@ -437,10 +436,15 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
     else:
         units = window_units(spec, cache, n)
         if supervise:
-            from ..jobs.drivers import run_sampled_supervised
-            rows = run_sampled_supervised(
-                trace, cache, spec, units, max_workers=max_workers,
-                bank=bank, queue=queue, faults=faults)
+            from ..jobs import SamplingJob, as_trace_source, run_jobs
+            source = as_trace_source(trace)
+            shards = run_jobs(
+                [SamplingJob(trace=source, cache=cache, units=shard,
+                             fault=None if faults is None
+                             else faults.get(index))
+                 for index, shard in enumerate(deal(units, max_workers))],
+                bank=bank, queue=queue, max_workers=max_workers)
+            rows = [row for shard in shards for row in shard]
         else:
             mode = resolve_parallel(parallel)
             if mode == "threads":

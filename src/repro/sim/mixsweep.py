@@ -451,11 +451,13 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
     if backend is not None and backend != spec.backend:
         from dataclasses import replace
         spec = replace(spec, backend=backend)
-    if supervise:
-        from ..jobs.drivers import run_mix_sweep_supervised
-        return run_mix_sweep_supervised(mixes, spec, bank=bank,
-                                        max_workers=max_workers)
     workers = max_workers if max_workers is not None else spec.max_workers
+    if supervise:
+        from ..jobs import MixSweepJob, run_jobs
+        records = run_jobs([MixSweepJob(spec=spec, mix=mix) for mix in mixes],
+                           bank=bank, max_workers=workers,
+                           job_timeout=1800.0)
+        return MixSweepResult(spec, mixes, records)
     mode = resolve_parallel(parallel if parallel is not None
                             else spec.parallel)
     store = trace_store if trace_store is not None else TraceStore()

@@ -421,14 +421,6 @@ class ReconfiguringSharedRun:
     threads:
         Monitor-recording thread width (default: ``REPRO_THREADS`` or the
         host core count, capped at the application count).
-    supervise:
-        Route the whole run through the fault-tolerant job runtime
-        (:mod:`repro.jobs`): a supervised worker process with heartbeat
-        watchdog and bounded retry executes it, and the interval records
-        bank in ``bank`` for dedupe/resume.  Default off (in-process).
-        Requires ``algorithm`` to be one of the registered
-        :data:`~repro.sim.mixsweep.ALGORITHMS`.  Records are
-        bit-identical either way.
     """
 
     total_mb: float
@@ -442,8 +434,6 @@ class ReconfiguringSharedRun:
     backend: str = "auto"
     parallel: str = "auto"
     threads: int | None = None
-    supervise: bool = False
-    bank: object | None = None
     records: list[SharedIntervalRecord] = field(default_factory=list)
 
     def run(self, traces: Sequence[Trace]) -> list[SharedIntervalRecord]:
@@ -453,13 +443,6 @@ class ReconfiguringSharedRun:
         cache always consumes the chunks in the same order, and each UMON
         only ever touches its own application's state.
         """
-        if self.supervise:
-            # Late import: repro.jobs reaches back into the sim drivers.
-            from ..jobs.drivers import run_shared_supervised
-            self.records = list(run_shared_supervised(
-                self, traces, bank=self.bank))
-            self._traces = list(traces)
-            return self.records
         n = len(traces)
         if n == 0:
             raise ValueError("need at least one application trace")
@@ -838,9 +821,22 @@ def run_churn(spec: ChurnSpec, *, supervise: bool = False, bank=None,
     to the in-process path.
     """
     if supervise:
-        from ..jobs.drivers import run_controller_supervised
-        return run_controller_supervised(spec, bank=bank,
-                                         **controller_kwargs)
+        # Late import: repro.jobs reaches back into the sim drivers.
+        from ..jobs import ControllerJob, run_jobs
+        from .mixsweep import ALGORITHMS
+        algorithm = controller_kwargs.pop("algorithm", "hill")
+        if not isinstance(algorithm, str):
+            names = {id(fn): name for name, fn in ALGORITHMS.items()}
+            if id(algorithm) not in names:
+                raise ValueError(
+                    "supervise=True needs a registered partitioning "
+                    f"algorithm ({', '.join(sorted(ALGORITHMS))}); got "
+                    f"{getattr(algorithm, '__name__', algorithm)!r}")
+            algorithm = names[id(algorithm)]
+        result, = run_jobs([ControllerJob(spec=spec, algorithm=algorithm,
+                                          **controller_kwargs)],
+                           bank=bank, max_workers=1, job_timeout=1800.0)
+        return result
     from .controller import OnlineTalusController
     controller = OnlineTalusController(spec.total_mb, max_apps=spec.max_apps,
                                        **controller_kwargs)

@@ -61,7 +61,8 @@ from ..cache.arraycache import run_lru_family_batch
 from ..cache.cache import CacheStats
 from ..cache.factory import BACKENDS, build_cache
 from ..cache.hashing import derive_seed
-from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel, run_tasks
+from ..cache.threadbatch import (PARALLEL_MODES, deal, resolve_parallel,
+                                 run_tasks)
 from ..core.misscurve import MissCurve
 from ..workloads.access import Trace
 from ..workloads.scale import paper_mb_to_lines
@@ -232,6 +233,17 @@ class SweepResult:
         #: when the sweep ran with ``sampling=`` (else empty).  The
         #: entry is ``None`` for analytic points (zero capacity).
         self.sampled: dict[Hashable, object] = {}
+
+    @classmethod
+    def merge(cls, parts) -> "SweepResult":
+        """Union of sweep results over disjoint config shards (the parts
+        of one sharded sweep, e.g. supervised jobs)."""
+        stats: dict[Hashable, CacheStats] = {}
+        instructions = 0
+        for part in parts:
+            stats.update(part.stats)
+            instructions = part.instructions or instructions
+        return cls(stats, instructions=instructions)
 
     def __getitem__(self, key: Hashable) -> CacheStats:
         return self.stats[key]
@@ -658,39 +670,6 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     is never materialized.  ``supervise``/``bank`` compose with it
     (per-window banking); builder configs are rejected.
     """
-    if sampling is not None:
-        if isinstance(spec, SweepSpec):
-            configs = spec.expand()
-            backend = backend if backend is not None else spec.backend
-            max_workers = (max_workers if max_workers is not None
-                           else spec.max_workers)
-            parallel = parallel if parallel is not None else spec.parallel
-        else:
-            configs = tuple(spec)
-            backend = backend if backend is not None else "auto"
-            max_workers = max_workers if max_workers is not None else 1
-            parallel = parallel if parallel is not None else "auto"
-        keys = [config.key for config in configs]
-        if len(set(keys)) != len(keys):
-            raise ValueError("sweep config keys must be unique")
-        return _run_sweep_sampled(
-            trace, configs, sampling, backend=backend,
-            max_workers=max_workers, parallel=parallel, threads=threads,
-            trace_store=trace_store, supervise=supervise, bank=bank)
-    if supervise:
-        from ..jobs.drivers import run_sweep_supervised
-        return run_sweep_supervised(
-            trace, spec, backend=backend if backend is not None else "auto",
-            max_workers=max_workers, bank=bank)
-    if isinstance(trace, Trace):
-        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
-        instructions = trace.instructions
-    else:
-        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-        instructions = 0
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-
     if isinstance(spec, SweepSpec):
         configs = spec.expand()
         backend = backend if backend is not None else spec.backend
@@ -704,10 +683,30 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
         parallel = parallel if parallel is not None else "auto"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    mode = resolve_parallel(parallel)
     keys = [config.key for config in configs]
     if len(set(keys)) != len(keys):
         raise ValueError("sweep config keys must be unique")
+    if sampling is not None:
+        return _run_sweep_sampled(
+            trace, configs, sampling, backend=backend,
+            max_workers=max_workers, parallel=parallel, threads=threads,
+            trace_store=trace_store, supervise=supervise, bank=bank)
+    if supervise:
+        from ..jobs import SweepJob, as_trace_source, run_jobs
+        source = as_trace_source(trace)
+        return SweepResult.merge(run_jobs(
+            [SweepJob(trace=source, configs=shard, backend=backend)
+             for shard in deal(configs, max_workers)],
+            bank=bank, max_workers=max_workers))
+    if isinstance(trace, Trace):
+        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
+        instructions = trace.instructions
+    else:
+        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
+        instructions = 0
+    if addrs.ndim != 1:
+        raise ValueError("trace must be one-dimensional")
+    mode = resolve_parallel(parallel)
 
     stats: dict[Hashable, CacheStats] = {}
     if mode == "threads":
@@ -720,17 +719,16 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
         local = [c for c in configs if c.builder is not None]
         poolable = [c for c in configs if c.builder is None]
         if max_workers > 1 and len(poolable) > 1:
-            workers = min(max_workers, len(poolable))
-            chunks = [poolable[i::workers] for i in range(workers)]
+            chunks = deal(poolable, max_workers)
             store = trace_store if trace_store is not None else TraceStore()
             try:
                 # Workers attach the store's one materialized copy of the
                 # trace instead of unpickling a private copy each.
                 handle = store.put(addrs)
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
                     futures = [pool.submit(_simulate_chunk, handle, chunk,
                                            backend)
-                               for chunk in chunks if chunk]
+                               for chunk in chunks]
                     for future in futures:
                         stats.update(future.result())
             finally:

@@ -31,7 +31,7 @@ from tests.faults import fault_queue
 
 from repro.core.convexhull import convex_hull
 from repro.core.misscurve import MissCurve
-from repro.jobs import ControllerJob, FaultPlan, run_controller_supervised
+from repro.jobs import ControllerJob, FaultPlan, run_jobs
 from repro.monitor.drift import CurveDriftTracker, curve_drift
 from repro.partitioning.base import PartitioningProblem
 from repro.partitioning.fair import fair
@@ -538,9 +538,10 @@ class TestFaultSoak:
 
         reference = run_churn(spec, base_interval_accesses=2_000).signature()
         with fault_queue(tmp_path) as queue:
-            faulted = run_controller_supervised(
-                spec, queue=queue, base_interval_accesses=2_000,
-                fault=FaultPlan("kill", index=len(events) // 2))
+            faulted, = run_jobs([ControllerJob(
+                spec=spec, base_interval_accesses=2_000,
+                fault=FaultPlan("kill", index=len(events) // 2))],
+                queue=queue)
         assert faulted.signature() == reference
 
     def test_resubmission_resumes_from_the_bank(self, tmp_path):

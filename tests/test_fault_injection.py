@@ -16,7 +16,7 @@ import pytest
 from tests.faults import (fault_queue, serial_signature, small_spec,
                           small_trace, sweep_signature)
 from repro.jobs import (FaultPlan, JobFailed, JobState, SweepJob, job_key,
-                        run_sweep_supervised)
+                        run_jobs)
 
 
 @pytest.fixture(scope="module")
@@ -30,9 +30,10 @@ class TestSigkillRecovery:
                                                           reference):
         # The plan SIGKILLs the worker at the *second* config of its
         # first attempt: one unit is already banked when the worker dies.
-        result = run_sweep_supervised(
-            small_trace(), small_spec(), max_workers=1, bank=tmp_path,
-            queue=None, faults={0: FaultPlan("kill", index=1)})
+        result, = run_jobs(
+            [SweepJob.from_spec(small_trace(), small_spec(),
+                                fault=FaultPlan("kill", index=1))],
+            max_workers=1, bank=tmp_path)
         assert sweep_signature(result) == reference
 
     def test_completed_units_survive_the_kill(self, tmp_path, reference):

@@ -6,12 +6,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.jobs import (CacheJob, FaultPlan, InlineTrace, JobQueue, JobState,
-                        MatrixSweepJob, MixSweepJob, ResultBank, RetryPolicy,
-                        SweepJob, TraceRef, as_trace_source, canonical_json,
-                        code_version, job_key,
-                        run_matrix_sweep_supervised,
-                        run_mix_sweep_supervised)
+from repro.cache.threadbatch import deal
+from repro.jobs import (CacheJob, FaultPlan, InlineTrace, JobFailed, JobQueue,
+                        JobState, MatrixSweepJob, MixSweepJob, ResultBank,
+                        RetryPolicy, SweepJob, TraceRef, as_trace_source,
+                        canonical_json, code_version, job_key, run_jobs)
 from repro.jobs.cli import main as cli_main
 from tests.faults import fault_queue, small_spec, small_trace
 
@@ -176,6 +175,85 @@ class TestJobQueue:
                      configs=(config,))
 
 
+class TestRunJobs:
+    def test_results_come_back_in_submission_order(self, tmp_path):
+        sizes = (2.0, 0.5, 1.0)
+        payloads = [SweepJob.from_spec(small_trace(),
+                                       small_spec(sizes_mb=(size,)))
+                    for size in sizes]
+        results = run_jobs(payloads, bank=tmp_path, max_workers=2)
+        assert [list(result.stats) for result in results] == \
+            [[("LRU", size)] for size in sizes]
+
+    @pytest.fixture
+    def closed(self, monkeypatch):
+        """Every queue closed during the test, in closing order."""
+        closed = []
+        close = JobQueue.close
+
+        def recording_close(queue):
+            closed.append(queue)
+            close(queue)
+        monkeypatch.setattr(JobQueue, "close", recording_close)
+        return closed
+
+    def test_queue_passed_in_stays_open(self, tmp_path, closed):
+        with fault_queue(tmp_path) as queue:
+            run_jobs([SweepJob.from_spec(small_trace(), small_spec())],
+                     queue=queue)
+            assert closed == []
+            later = queue.submit(SweepJob.from_spec(
+                small_trace(), small_spec(sizes_mb=(4.0,))))
+            later.result()
+            assert later.state == JobState.SUCCEEDED
+        assert closed == [queue]
+
+    def test_owned_queue_is_closed(self, tmp_path, closed):
+        run_jobs([SweepJob.from_spec(small_trace(), small_spec())],
+                 bank=tmp_path)
+        assert len(closed) == 1
+
+    def test_failing_payload_raises_job_failed(self, tmp_path):
+        plan = FaultPlan("exception", attempts=tuple(range(10)))
+        with fault_queue(tmp_path, max_retries=0) as queue:
+            with pytest.raises(JobFailed, match="FaultInjected"):
+                run_jobs([SweepJob.from_spec(small_trace(), small_spec(),
+                                             fault=plan)], queue=queue)
+
+    def test_supervised_sweep_keeps_backend_override(self, tmp_path):
+        from repro.sim.sweep import SweepSpec, run_sweep
+        from repro.workloads.spec_profiles import get_profile
+        trace = get_profile("mcf").trace(n_accesses=20_000, seed=3)
+        spec = SweepSpec(policies=("DRRIP", "BIP"), sizes_mb=(0.5, 1.0),
+                         backend="object", base_seed=5)
+        direct = run_sweep(trace, spec, backend="auto")
+        supervised = run_sweep(trace, spec, backend="auto", supervise=True,
+                               bank=tmp_path)
+        assert {k: s.misses for k, s in supervised.stats.items()} == \
+            {k: s.misses for k, s in direct.stats.items()}
+
+
+class TestDeal:
+    @pytest.mark.parametrize("count", [1, 2, 5, 7, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 20])
+    def test_groups_are_nonempty_and_keep_every_item_once(self, count, n):
+        items = list(range(count))
+        groups = deal(items, n)
+        assert 1 <= len(groups) <= min(n, count)
+        assert all(groups)
+        assert sorted(item for group in groups for item in group) == items
+        # Round-robin: item i lands in group i % len(groups).
+        for index, group in enumerate(groups):
+            assert group == items[index::len(groups)]
+
+    def test_empty_input_gives_no_groups(self):
+        assert deal([], 4) == []
+        assert deal(iter(()), 1) == []
+
+    def test_n_larger_than_item_count_gives_singletons(self):
+        assert deal("abc", 10) == [["a"], ["b"], ["c"]]
+
+
 class TestPayloadRoundTrips:
     def test_cache_job_matches_direct_replay(self, tmp_path):
         from repro.cache.spec import CacheSpec, build
@@ -206,7 +284,8 @@ class TestPayloadRoundTrips:
         for record in direct.records.values():
             clone = MixRunRecord.from_payload(record.to_payload())
             assert clone == record
-        supervised = run_mix_sweep_supervised(mixes, spec, bank=tmp_path)
+        supervised = run_mix_sweep(mixes, spec, supervise=True,
+                                   bank=tmp_path)
         for name, record in direct.records.items():
             assert supervised.records[name] == record
 
@@ -226,12 +305,12 @@ class TestMatrixSweepJobs:
         assert all(len(shard.cells) == 2 for shard in shards)
 
     def test_supervised_matrix_matches_direct_and_resumes(self, tmp_path):
-        from repro.sim.sweep import run_matrix_sweep
+        from repro.sim.sweep import SweepResult, run_matrix_sweep
         trace = small_trace()
         direct = run_matrix_sweep(trace, **self.KWARGS)
-        supervised = run_matrix_sweep_supervised(trace, bank=tmp_path,
-                                                 max_workers=2,
-                                                 **self.KWARGS)
+        supervised = SweepResult.merge(run_jobs(
+            MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS),
+            bank=tmp_path, max_workers=2))
         assert set(supervised.stats) == set(direct.stats)
         for key, stats in direct.stats.items():
             assert supervised.stats[key].misses == stats.misses, key
@@ -242,8 +321,9 @@ class TestMatrixSweepJobs:
         for shard in shards:
             for cell in shard.cells:
                 assert bank.get(shard.unit_key(cell)) is not None, cell
-        resumed = run_matrix_sweep_supervised(trace, bank=tmp_path,
-                                              max_workers=2, **self.KWARGS)
+        resumed = SweepResult.merge(run_jobs(
+            MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS),
+            bank=tmp_path, max_workers=2))
         for key, stats in direct.stats.items():
             assert resumed.stats[key].misses == stats.misses, key
 
