@@ -12,9 +12,10 @@ one sweep-shaped batch of array-cache configs four ways:
   inside the kernel: measures pure dispatch overhead);
 * **threads=N** — the batched dispatcher at the host width
   (``REPRO_THREADS`` aware);
-* **processes** — ``run_sweep(parallel="processes")`` over the same
-  configs with N pool workers, traces routed through the
-  :class:`~repro.workloads.tracestore.TraceStore` memmap path.
+* **processes** — the same sweep's configs dealt over N process-pool
+  workers by :func:`~repro.cache.threadbatch.fan_out` (the fan-out
+  ``run_sweep`` uses when the kernel is absent), traces routed through
+  the :class:`~repro.workloads.tracestore.TraceStore` memmap path.
 
 Record identity between all four is asserted unconditionally — on every
 host, with and without the kernel.  The speedup criteria are gated on the
@@ -36,9 +37,9 @@ import pytest
 from benchlib import bench_json_path, write_bench_json
 from repro.cache._native import native_available, resolve_threads
 from repro.cache.arraycache import ArraySetAssociativeCache
-from repro.cache.threadbatch import run_tasks
+from repro.cache.threadbatch import fan_out, run_tasks
 from repro.experiments.common import fast_mode, trace_length
-from repro.sim.sweep import SweepSpec, run_sweep
+from repro.sim.sweep import SweepSpec, _simulate_chunk, run_sweep
 from repro.workloads.generators import zipfian
 
 #: (sets, ways, policy) of every config in the batch — a sweep-shaped
@@ -91,18 +92,18 @@ def test_thread_scaling(capsys):
     run_tasks([c.replay_task(addrs) for c in wide], threads=width)
     t_wide = time.perf_counter() - t0
 
-    # The same sweep through the two public fan-out strategies: the
-    # threaded dispatch vs a process pool at equal parallelism (pool
-    # workers attach the trace through the TraceStore memmap path).
+    # The same sweep through the two fan-out strategies: the threaded
+    # dispatch vs a process pool at equal parallelism (pool workers run
+    # run_sweep's per-worker entry point and attach the trace through the
+    # TraceStore memmap path).
     sweep_spec = SweepSpec(
         sizes_mb=(0.25, 0.5, 1.0, 2.0), policies=("LRU", "SRRIP", "PDP"))
     t0 = time.perf_counter()
-    threaded_sweep = run_sweep(addrs, sweep_spec, parallel="threads",
-                               threads=width)
+    threaded_sweep = run_sweep(addrs, sweep_spec, threads=width)
     t_sweep_threads = time.perf_counter() - t0
     t0 = time.perf_counter()
-    pooled_sweep = run_sweep(addrs, sweep_spec, parallel="processes",
-                             max_workers=width)
+    pooled_sweep = dict(fan_out(_simulate_chunk, sweep_spec.expand(),
+                                width, sweep_spec.backend, trace=addrs))
     t_pool = time.perf_counter() - t0
 
     # Record identity, asserted unconditionally: every execution strategy
@@ -112,7 +113,7 @@ def test_thread_scaling(capsys):
     assert _digest(wide) == ref, f"threads={width} diverged from serial"
     for key in threaded_sweep.stats:
         assert (threaded_sweep.stats[key].misses
-                == pooled_sweep.stats[key].misses), \
+                == pooled_sweep[key].misses), \
             f"threaded and pooled sweeps diverged at {key}"
 
     speedup_wide = t_one / t_wide if t_wide > 0 else float("inf")

@@ -136,8 +136,9 @@ def resolve_threads(threads: int | None = None) -> int:
     """Effective worker-thread width for a batched replay.
 
     Resolution order: an explicit ``threads=`` argument, the
-    ``REPRO_THREADS`` environment variable, then the host core count.
-    Always at least 1.
+    ``REPRO_THREADS`` environment variable, then the cores this process
+    may run on (its CPU affinity set, which a cpuset or ``taskset`` limit
+    shrinks below ``os.cpu_count()``).  Always at least 1.
     """
     if threads is None:
         env = os.environ.get("REPRO_THREADS", "").strip()
@@ -148,7 +149,9 @@ def resolve_threads(threads: int | None = None) -> int:
                 raise ValueError(
                     f"REPRO_THREADS must be an integer, got {env!r}")
     if threads is None:
-        threads = os.cpu_count() or 1
+        threads = (len(os.sched_getaffinity(0))
+                   if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     return max(1, int(threads))
 
 

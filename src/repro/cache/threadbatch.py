@@ -34,45 +34,83 @@ kernel degrade to their fallback closure inside the same
 from __future__ import annotations
 
 import ctypes
+from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..workloads.tracestore import TraceStore
 from ._native import BatchTask, get_kernel, native_available, resolve_threads
 
-__all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "PARALLEL_MODES",
-           "deal", "i64_ptr", "u64_ptr"]
-
-#: Values accepted by the drivers' ``parallel=`` parameter.
-PARALLEL_MODES = ("auto", "threads", "processes")
+__all__ = ["ReplayTask", "run_tasks", "resolve_parallel", "thread_width",
+           "deal", "fan_out", "i64_ptr", "u64_ptr"]
 
 
-def resolve_parallel(mode: str) -> str:
-    """Resolve a ``parallel=`` mode to "threads" or "processes".
+def resolve_parallel() -> str:
+    """How the drivers fan independent work out: "threads" or "processes".
 
-    "auto" prefers threads exactly when the native kernel (and therefore
-    the GIL-releasing batch dispatcher) is available; without it the
-    pure-Python replay would serialize on the GIL, so the process-pool
-    path is kept.
+    The one execution rule, observed rather than chosen: with the native
+    kernel (and therefore the GIL-releasing batch dispatcher) replays go
+    through :func:`run_tasks` and mixes through a thread pool; without it
+    the pure-Python replay would serialize on the GIL, so independent
+    units fan out over a process pool (:func:`fan_out`) instead.
     """
-    if mode not in PARALLEL_MODES:
-        raise ValueError(f"unknown parallel mode {mode!r}; "
-                         f"known: {PARALLEL_MODES}")
-    if mode == "auto":
-        return "threads" if native_available() else "processes"
-    return mode
+    return "threads" if native_available() else "processes"
+
+
+def thread_width(threads: int | None, max_workers: int = 1) -> int:
+    """Width of a threaded dispatch: an explicit ``threads=``, else a
+    driver's ``max_workers`` when above 1, else
+    :func:`~repro.cache._native.resolve_threads`'s default."""
+    if threads is None and max_workers > 1:
+        threads = max_workers
+    return resolve_threads(threads)
 
 
 def deal(items: Iterable, n: int) -> list[list]:
     """Deal ``items`` round-robin into at most ``n`` non-empty groups.
 
-    The one sharding rule of every process fan-out (pooled sweeps and
-    sampled windows, supervised jobs, the job CLI).  Item ``i`` lands in
-    group ``i % groups``; no group is empty, so empty input gives ``[]``.
+    The one sharding rule of every process fan-out (:func:`fan_out`,
+    supervised jobs, the job CLI).  Item ``i`` lands in group
+    ``i % groups``; no group is empty, so empty input gives ``[]``.
     """
     items = list(items)
     n = max(1, min(int(n), len(items)))
     return [items[i::n] for i in range(n)] if items else []
+
+
+def fan_out(fn: Callable, units: Sequence, workers: int, *args,
+            trace=None, trace_store=None) -> list:
+    """Run ``fn(source, *args, group)`` over ``deal(units, workers)``.
+
+    The one process-pool fan-out of the drivers.  ``fn`` is a picklable
+    module-level function returning one result per unit of its group, in
+    group order; the results come back in ``units`` order.  ``trace``
+    reaches every call as ``source``: an address array is put once into
+    ``trace_store`` (a temporary store, closed on return, when not given)
+    so workers attach one materialised copy instead of unpickling their
+    own; anything else (a ``TraceHandle``, a ``ChunkedTrace``, ``None``)
+    is passed as is.  A single group runs in-process on ``trace`` itself.
+    """
+    groups = deal(units, workers)
+    if len(groups) < 2:
+        return [result for group in groups
+                for result in fn(trace, *args, group)]
+    store, source = None, trace
+    if isinstance(trace, np.ndarray):
+        store = trace_store if trace_store is not None else TraceStore()
+        source = store.put(trace)
+    try:
+        with ProcessPoolExecutor(max_workers=len(groups)) as pool:
+            futures = [pool.submit(fn, source, *args, group)
+                       for group in groups]
+            results = [future.result() for future in futures]
+    finally:
+        if store is not None and trace_store is None:
+            store.close()
+    # Unit i was dealt to group i % n, at position i // n.
+    n = len(groups)
+    return [results[i % n][i // n] for i in range(len(units))]
 
 
 def i64_ptr(array: np.ndarray):

@@ -240,8 +240,7 @@ class SweepJob:
                 banked_units += 1
                 stats = banked
             else:
-                result = run_sweep(trace, (config,), backend=self.backend,
-                                   max_workers=1, parallel="processes")
+                result = run_sweep(trace, (config,), backend=self.backend)
                 stats = stats_to_payload(result[config.key])
                 if ctx.bank is not None:
                     ctx.bank.put(ukey, stats, meta=ctx.unit_meta())
@@ -517,13 +516,11 @@ class ControllerJob:
             monitor_points=self.monitor_points, fairness=self.fairness,
             granularity_lines=self.granularity_lines, ways=self.ways,
             backend=self.backend, base_seed=self.base_seed)
-        with controller:
-            for index, event in enumerate(events):
-                ctx.unit("unit", index)
-                controller.handle(event)
-            result = controller.result()
+        for index, event in enumerate(events):
+            ctx.unit("unit", index)
+            controller.handle(event)
         ctx.beat()
-        return result.to_payload()
+        return controller.result().to_payload()
 
     @staticmethod
     def load(payload: dict):

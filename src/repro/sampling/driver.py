@@ -10,9 +10,9 @@ The pFSA/SMARTS recipe for traces too long to replay exactly:
    fast-forward* pass that streams the whole trace once and emits a
    :class:`~repro.sampling.checkpoint.CacheCheckpoint` at every window
    boundary (``warming="checkpoint"``);
-3. simulate the windows in detail — serially, as one threaded native
-   batch (``parallel="threads"`` via :mod:`repro.cache.threadbatch`), or
-   fanned over a process pool (``parallel="processes"``, the trace
+3. simulate the windows in detail — as one threaded native batch when
+   the native kernel is present (:mod:`repro.cache.threadbatch`), else
+   serially or fanned over a process pool (``max_workers > 1``, the trace
    shared through a :class:`~repro.workloads.tracestore.TraceStore`
    memmap or generated on demand from a
    :class:`~repro.workloads.scale.ChunkedTrace`);
@@ -48,13 +48,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..cache._native import resolve_threads
 from ..cache.cache import CacheStats
 from ..cache.factory import SEEDED_POLICIES
 from ..cache.hashing import derive_seed
 from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import deal, resolve_parallel, run_tasks
+from ..cache.threadbatch import (deal, fan_out, resolve_parallel, run_tasks,
+                                 thread_width)
 from ..workloads.access import Trace
 from ..workloads.scale import ChunkedTrace
 from ..workloads.tracestore import TraceHandle, TraceStore
@@ -353,43 +353,20 @@ def run_exact(trace, cache, *, chunk: int = DEFAULT_CHUNK) -> CacheStats:
 # --------------------------------------------------------------------- #
 # Driver
 # --------------------------------------------------------------------- #
-def _pool_source(trace, view, trace_store):
-    """A picklable trace source for process workers (+ owned store)."""
-    if isinstance(trace, (ChunkedTrace, TraceHandle)):
-        return trace, None
-    store = trace_store if trace_store is not None else TraceStore()
-    handle = store.put(view.addresses)
-    return handle, (store if trace_store is None else None)
-
-
-def _fan_out(trace, view, cache, units, simulate, max_workers,
-             trace_store) -> list[tuple]:
-    from concurrent.futures import ProcessPoolExecutor
-    shards = deal(units, max_workers)
-    source, owned = _pool_source(trace, view, trace_store)
-    try:
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            futures = [pool.submit(simulate, source, cache, shard)
-                       for shard in shards]
-            return [row for future in futures for row in future.result()]
-    finally:
-        if owned is not None:
-            owned.close()
-
-
 def run_sampled(trace, cache, spec: SamplingSpec, *,
-                parallel: str = "auto", threads: int | None = None,
+                threads: int | None = None,
                 max_workers: int | None = None,
                 trace_store: TraceStore | None = None,
                 supervise: bool = False, bank=None, queue=None,
                 faults=None) -> SampledResult:
     """Estimate ``cache``'s MPKI on ``trace`` from sampled windows.
 
-    Parameters mirror :func:`repro.sim.sweep.run_sweep`: ``parallel``
-    picks threads (one GIL-releasing native batch over all windows) or
-    a process pool (windows sharded round-robin; the trace rides a
+    Parameters mirror :func:`repro.sim.sweep.run_sweep`.  With the native
+    kernel the windows run as one GIL-releasing native batch (``threads``
+    wide); without it they spread over a process pool when
+    ``max_workers > 1`` (windows sharded round-robin; the trace rides a
     TraceStore memmap, or is regenerated block-on-demand when it is a
-    :class:`ChunkedTrace`); ``supervise=True`` runs the windows through
+    :class:`ChunkedTrace`).  ``supervise=True`` runs the windows through
     the fault-tolerant job runtime with per-window banking in ``bank``
     (``faults`` is the fault-injection hook, tests only).  Results are
     bit-identical across all execution strategies.
@@ -401,6 +378,11 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
     view = _as_view(trace)
     n = view.n_accesses
     max_workers = max_workers if max_workers is not None else 1
+    threaded = resolve_parallel() == "threads"
+    # What pool workers receive: a ChunkedTrace or TraceHandle as is, else
+    # the address array (fan_out shares it through one TraceStore).
+    pool_source = (trace if isinstance(trace, (ChunkedTrace, TraceHandle))
+                   else view.addresses)
 
     if spec.warming == "checkpoint":
         if supervise:
@@ -410,29 +392,20 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
         checkpoints = warm_checkpoints(trace, cache, spec)
         units = [(i, ckpt, ckpt.position, ckpt.position + spec.window)
                  for i, ckpt in enumerate(checkpoints)]
-        mode = resolve_parallel(parallel)
-        caches = ([ckpt.build() for _, ckpt, _, _ in units]
-                  if mode == "threads" else [])
-        if (mode == "threads" and caches
-                and getattr(caches[0], "replay_task", None) is not None):
+        caches = [ckpt.build() for _, ckpt, _, _ in units] if threaded else []
+        if caches and getattr(caches[0], "replay_task", None) is not None:
             baselines = [_counts(c) for c in caches]
-            width = resolve_threads(
-                threads if threads is not None
-                else (max_workers if max_workers > 1 else None))
             run_tasks([_replay_task(c, view.segment(start, stop))
                        for c, (_, _, start, stop) in zip(caches, units)],
-                      threads=width)
+                      threads=thread_width(threads, max_workers))
             rows = []
             for c, (index, _, start, _), (a0, m0) in zip(caches, units,
                                                          baselines):
                 a1, m1 = _counts(c)
                 rows.append((index, start, a1 - a0, m1 - m0, 0))
-        elif max_workers > 1 and len(units) > 1:
-            rows = _fan_out(trace, view, cache, units,
-                            simulate_checkpoint_units, max_workers,
-                            trace_store)
         else:
-            rows = simulate_checkpoint_units(view, cache, units)
+            rows = fan_out(simulate_checkpoint_units, units, max_workers,
+                           cache, trace=pool_source, trace_store=trace_store)
     else:
         units = window_units(spec, cache, n)
         if supervise:
@@ -445,19 +418,12 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
                  for index, shard in enumerate(deal(units, max_workers))],
                 bank=bank, queue=queue, max_workers=max_workers)
             rows = [row for shard in shards for row in shard]
+        elif threaded:
+            rows = _simulate_windows_threaded(
+                view, cache, units, thread_width(threads, max_workers))
         else:
-            mode = resolve_parallel(parallel)
-            if mode == "threads":
-                width = resolve_threads(
-                    threads if threads is not None
-                    else (max_workers if max_workers > 1 else None))
-                rows = _simulate_windows_threaded(view, cache, units, width)
-            elif max_workers > 1 and len(units) > 1:
-                rows = _fan_out(trace, view, cache, units,
-                                simulate_window_units, max_workers,
-                                trace_store)
-            else:
-                rows = simulate_window_units(view, cache, units)
+            rows = fan_out(simulate_window_units, units, max_workers, cache,
+                           trace=pool_source, trace_store=trace_store)
 
     windows = tuple(WindowResult(index=index, start=start,
                                  accesses=accesses, misses=misses,

@@ -24,6 +24,9 @@ promotes reconfiguration from a batch loop into an event-driven subsystem:
   state) shorten the interval when curves drift and lengthen it when they
   are stable.
 
+Everything runs on the caller's thread: an :class:`AccessBatch` is
+recorded into its app's UMON, then replayed through the shared cache.
+
 Determinism
 -----------
 Everything is bit-reproducible: event times are trace-indexed (an event's
@@ -54,11 +57,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..cache._native import resolve_threads
 from ..cache.hashing import derive_seed
 from ..cache.spec import PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import resolve_parallel
 from ..core.misscurve import MissCurve
 from ..core.talus import TalusConfig
 from ..monitor.drift import CurveDriftTracker
@@ -272,11 +273,6 @@ class OnlineTalusController:
     granularity_lines:
         Planning step in lines (default: partitionable / 64, snapped up
         to the scheme's allocation quantum).
-    parallel:
-        "auto", "threads" or "processes"/"off": in threads mode each
-        batch's UMON recording overlaps the shared cache's replay of the
-        same batch on a worker thread (the two touch disjoint state), as
-        in the fixed-mix drivers.  Results are bit-identical either way.
     base_seed:
         Root of all derived seeds (monitors).
     validate:
@@ -295,7 +291,6 @@ class OnlineTalusController:
                  fairness: float = 0.0,
                  granularity_lines: int | None = None,
                  ways: int = 16, backend: str = "auto",
-                 parallel: str = "off", threads: int | None = None,
                  base_seed: int = 2015, validate: bool = True):
         if max_apps <= 0:
             raise ValueError("max_apps must be positive")
@@ -357,27 +352,13 @@ class OnlineTalusController:
         self.batches: list[BatchRecord] = []
         self.replans: list[ReplanRecord] = []
 
-        mode = resolve_parallel(parallel) if parallel != "off" else "off"
-        self._pool = None
-        if mode == "threads":
-            from concurrent.futures import ThreadPoolExecutor
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(1, min(2, resolve_threads(threads))))
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Shut the monitor-overlap thread pool down (idempotent)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-
+    # The controller holds no resources; ``with controller:`` still works
+    # so callers written against the context-manager form keep running.
     def __enter__(self) -> "OnlineTalusController":
         return self
 
     def __exit__(self, *exc) -> None:
-        self.close()
+        pass
 
     # ------------------------------------------------------------------ #
     # Event interface
@@ -542,20 +523,9 @@ class OnlineTalusController:
             raise ValueError(f"app {app!r} is not active")
         slot = self._slot_of[app]
         addresses = event.addresses
-        monitor = self._monitors[app]
         if addresses.size:
-            if self._pool is not None:
-                # The UMON only touches its own sampled stack-distance
-                # state, the cache only its partition state — so the
-                # monitor folds the batch in on a worker thread while the
-                # shared cache replays it here (joined before any reader).
-                future = self._pool.submit(monitor.record_trace, addresses)
-                stats = self.talus.run_chunk(addresses, slot)
-                future.result()
-            else:
-                monitor.record_trace(addresses)
-                stats = self.talus.run_chunk(addresses, slot)
-            misses = stats.misses
+            self._monitors[app].record_trace(addresses)
+            misses = self.talus.run_chunk(addresses, slot).misses
         else:
             misses = 0
         self.batches.append(BatchRecord(seq=seq, app=app, slot=slot,

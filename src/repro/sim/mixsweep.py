@@ -10,9 +10,9 @@ sweep itself:
 
 * :class:`MixSweepSpec` — a frozen-dataclass description of the whole
   sweep in the :mod:`repro.cache.spec` style: hashable, comparable and
-  picklable, so the per-mix work can fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` exactly like
-  :func:`repro.sim.sweep.run_sweep` configs do.
+  picklable, so the per-mix work can fan out over worker threads (with
+  the native kernel) or a process pool (without it), by the execution
+  rule of :func:`repro.cache.threadbatch.resolve_parallel`.
 * **Stable per-mix seeding** — every application trace draws its seed
   from ``(base_seed, mix name, core, app name)``, never from execution
   order, so serial and process-pool runs (and any subset of the mixes)
@@ -42,8 +42,8 @@ True
 from __future__ import annotations
 
 import zlib
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Dict, Sequence
 
@@ -52,7 +52,7 @@ from ..core.atomicio import atomic_write_json
 from ..cache.hashing import mix64
 from ..cache.partition import SCHEME_REGISTRY
 from ..cache.spec import PartitionSpec
-from ..cache.threadbatch import PARALLEL_MODES, resolve_parallel
+from ..cache.threadbatch import fan_out, resolve_parallel
 from ..partitioning import fair, hill_climbing, lookahead
 from ..workloads.mixes import WorkloadMix
 from ..workloads.scale import paper_mb_to_lines
@@ -112,13 +112,11 @@ class MixSweepSpec:
     base_seed:
         Root of the per-mix trace-seed derivation.
     max_workers:
-        Above 1, mixes fan out — over a process pool or a thread pool
-        depending on ``parallel`` (results are identical to a serial run
-        either way).
-    parallel:
-        "threads", "processes" or "auto" ("auto" prefers threads when the
-        native kernel is available, so the GIL-releasing replay overlaps;
-        without it, the process pool).
+        Above 1, mixes fan out — over a thread pool when the native
+        kernel is available, so the GIL-releasing replays overlap, else a
+        process pool (results are identical to a serial run either way).
+        Execution width only: it is not part of the spec's identity, so
+        specs differing only here compare equal and share bank keys.
     """
 
     total_mb: float
@@ -132,8 +130,7 @@ class MixSweepSpec:
     granularity_mb: float | None = None
     backend: str = "auto"
     base_seed: int = 2015
-    max_workers: int = 1
-    parallel: str = "auto"
+    max_workers: int = field(default=1, compare=False)
 
     def __post_init__(self):
         if self.total_mb <= 0:
@@ -154,9 +151,6 @@ class MixSweepSpec:
                              "positive")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
-        if self.parallel not in PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {self.parallel!r}; "
-                             f"known: {PARALLEL_MODES}")
 
     def substrate_spec(self, num_apps: int) -> PartitionSpec:
         """The declarative substrate one mix of ``num_apps`` runs on."""
@@ -241,7 +235,7 @@ def _mix_handles(store: TraceStore, spec: MixSweepSpec,
 def _run_one_mix(spec: MixSweepSpec, mix: WorkloadMix,
                  handles: Sequence[TraceHandle] | None = None
                  ) -> MixRunRecord:
-    """Execute one mix end to end (the pool worker entry point).
+    """Execute one mix end to end (the per-mix worker entry point).
 
     With ``handles`` the worker attaches the parent's already-materialized
     traces (zero-copy for memmap/shared-memory backings); without them it
@@ -270,6 +264,13 @@ def _run_one_mix(spec: MixSweepSpec, mix: WorkloadMix,
                                                    "-execution")
     return MixRunRecord(mix_name=mix.name, app_names=tuple(mix.app_names),
                         intervals=tuple(records), result=result)
+
+
+def _run_mixes(_source, spec: MixSweepSpec, units) -> list[MixRunRecord]:
+    """Execute ``(mix, handles)`` units in order (the process-pool entry
+    point of :func:`~repro.cache.threadbatch.fan_out`; each unit carries
+    its own trace handles, so the shared ``_source`` is unused)."""
+    return [_run_one_mix(spec, mix, handles) for mix, handles in units]
 
 
 class MixSweepResult:
@@ -412,7 +413,6 @@ class MixSweepResult:
 def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
                   max_workers: int | None = None,
                   backend: str | None = None,
-                  parallel: str | None = None,
                   trace_store: TraceStore | None = None,
                   supervise: bool = False,
                   bank=None) -> MixSweepResult:
@@ -421,12 +421,11 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
     Each mix runs one :class:`~repro.sim.multicore.ReconfiguringSharedRun`
     (chunked replay, per-app UMONs, coordinated warm reconfiguration) on
     its own deterministic traces.  With ``max_workers > 1`` the mixes fan
-    out — one worker task per mix, since a mix's apps share one cache and
-    must advance together — over a process pool or, with
-    ``parallel="threads"`` (the "auto" choice when the native kernel is
-    available), a thread pool whose workers overlap in the GIL-releasing
-    kernel replays.  The stable per-mix seeding makes every strategy
-    bit-identical to a serial run.
+    out — a mix is the smallest unit, since its apps share one cache and
+    must advance together — over a thread pool whose workers overlap in
+    the GIL-releasing kernel replays when the native kernel is available,
+    else over a process pool.  The stable per-mix seeding makes every
+    strategy bit-identical to a serial run.
 
     The parent materializes every per-core trace exactly once in
     ``trace_store`` (a temporary memmap-backed store when not given) and
@@ -434,7 +433,7 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
     than regenerate, so a sweep no longer pays apps x mixes trace
     generations per pool fan-out.
 
-    ``max_workers``/``backend``/``parallel`` override the spec's values
+    ``max_workers``/``backend`` override the spec's values
     (the spec stays the single source of truth for everything the workers
     need, which is what makes it picklable).
 
@@ -458,22 +457,15 @@ def run_mix_sweep(mixes: Sequence[WorkloadMix], spec: MixSweepSpec, *,
                            bank=bank, max_workers=workers,
                            job_timeout=1800.0)
         return MixSweepResult(spec, mixes, records)
-    mode = resolve_parallel(parallel if parallel is not None
-                            else spec.parallel)
     store = trace_store if trace_store is not None else TraceStore()
     try:
-        handles = [_mix_handles(store, spec, mix) for mix in mixes]
-        if workers > 1 and len(mixes) > 1:
-            workers = min(workers, len(mixes))
-            pool_cls = (ThreadPoolExecutor if mode == "threads"
-                        else ProcessPoolExecutor)
-            with pool_cls(max_workers=workers) as pool:
-                futures = [pool.submit(_run_one_mix, spec, mix, mix_handles)
-                           for mix, mix_handles in zip(mixes, handles)]
-                records = [future.result() for future in futures]
+        units = [(mix, _mix_handles(store, spec, mix)) for mix in mixes]
+        if resolve_parallel() == "threads" and workers > 1 and len(mixes) > 1:
+            with ThreadPoolExecutor(min(workers, len(mixes))) as pool:
+                records = list(pool.map(
+                    lambda unit: _run_one_mix(spec, *unit), units))
         else:
-            records = [_run_one_mix(spec, mix, mix_handles)
-                       for mix, mix_handles in zip(mixes, handles)]
+            records = fan_out(_run_mixes, units, workers, spec)
     finally:
         if trace_store is None:
             store.close()

@@ -21,21 +21,21 @@ the *what* (a :class:`SweepSpec` describing all the points) from the *how*
   for Belady.  This is the default; ask for ``backend="object"``
   explicitly to stream the reference model.
 
-Independent configs can also run in parallel, in one of two ways selected
-by ``parallel=``:
+Independent configs run in parallel by the one execution rule of
+:func:`~repro.cache.threadbatch.resolve_parallel`, which follows from
+whether the native kernel is present:
 
-* ``"threads"`` — every batch-capable config becomes a
+* with the kernel, every batch-capable config becomes a
   :class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
   GIL-releasing ``batch_run_threaded`` call into the native kernel
-  (width from ``threads=`` or ``REPRO_THREADS``); object-model and
-  builder configs stream serially as before.
-* ``"processes"`` — independent configs fan out over a
-  :class:`~concurrent.futures.ProcessPoolExecutor` (``max_workers > 1``),
-  with the address array shared through a
-  :class:`~repro.workloads.tracestore.TraceStore` memmap so workers
-  attach to one materialized trace instead of re-pickling it.
-* ``"auto"`` (default) — threads when the native kernel is available,
-  the process pool otherwise (``REPRO_NATIVE=0``).
+  (width from ``threads=``, ``max_workers`` or ``REPRO_THREADS``);
+  object-model and builder configs stream serially as before;
+* without it (``REPRO_NATIVE=0``), independent configs fan out over a
+  process pool when ``max_workers > 1``
+  (:func:`~repro.cache.threadbatch.fan_out`), with the address array
+  shared through a :class:`~repro.workloads.tracestore.TraceStore`
+  memmap so workers attach to one materialized trace instead of
+  re-pickling it.
 
 Results are independent of the execution strategy: every config derives a
 deterministic seed from ``(base_seed, config index)``, so serial, batched,
@@ -50,19 +50,17 @@ Example
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..cache._native import resolve_threads
 from ..cache.arraycache import run_lru_family_batch
 from ..cache.cache import CacheStats
 from ..cache.factory import BACKENDS, build_cache
 from ..cache.hashing import derive_seed
-from ..cache.threadbatch import (PARALLEL_MODES, deal, resolve_parallel,
-                                 run_tasks)
+from ..cache.threadbatch import (deal, fan_out, resolve_parallel, run_tasks,
+                                 thread_width)
 from ..core.misscurve import MissCurve
 from ..workloads.access import Trace
 from ..workloads.scale import paper_mb_to_lines
@@ -172,11 +170,8 @@ class SweepSpec:
     backend:
         "object", "array" or "auto" (see module docstring).
     max_workers:
-        Above 1, independent configs are distributed over a process pool
-        (``parallel="processes"``) or set the thread width when no
-        explicit ``threads=`` is given (``parallel="threads"``).
-    parallel:
-        "threads", "processes" or "auto" (see module docstring).
+        Above 1, the thread width when no explicit ``threads=`` is given
+        (native kernel), or the process-pool width (without it).
     base_seed:
         Root of the deterministic per-config seed derivation for policies
         with randomized behaviour.  ``None`` (the default) keeps every
@@ -189,16 +184,12 @@ class SweepSpec:
     ways: int = DEFAULT_WAYS
     backend: str = "auto"
     max_workers: int = 1
-    parallel: str = "auto"
     base_seed: int | None = None
 
     def __post_init__(self):
         if self.backend not in BACKENDS:
             raise ValueError(f"unknown backend {self.backend!r}; "
                              f"known: {BACKENDS}")
-        if self.parallel not in PARALLEL_MODES:
-            raise ValueError(f"unknown parallel mode {self.parallel!r}; "
-                             f"known: {PARALLEL_MODES}")
         if self.max_workers < 1:
             raise ValueError("max_workers must be >= 1")
         if not self.policies:
@@ -319,21 +310,21 @@ def _make_replay_task(cache, addrs: np.ndarray):
         return None
 
 
-def _simulate_chunk(addrs: np.ndarray | TraceHandle,
+def _simulate_chunk(addrs: np.ndarray | TraceHandle, backend: str,
                     configs: Sequence[SweepConfig],
-                    backend: str,
                     threads: int = 0) -> list[tuple[Hashable, CacheStats]]:
     """Simulate a group of configs over one trace pass (worker entry point).
 
-    ``addrs`` may be a :class:`TraceHandle`, which pool workers attach
-    zero-copy instead of receiving the pickled array.  With ``threads >=
-    1`` every batch-capable config becomes a :class:`ReplayTask` and the
-    chunk executes as one threaded native dispatch (bit-identical to the
-    serial per-config replays at any width).
+    Returns ``(key, stats)`` pairs in ``configs`` order.  ``addrs`` may be
+    a :class:`TraceHandle`, which pool workers attach zero-copy instead of
+    receiving the pickled array.  With ``threads >= 1`` every
+    batch-capable config becomes a :class:`ReplayTask` and the chunk
+    executes as one threaded native dispatch (bit-identical to the serial
+    per-config replays at any width).
     """
     if isinstance(addrs, TraceHandle):
         addrs = addrs.array()
-    out = []
+    out = dict.fromkeys(config.key for config in configs)
     object_caches, object_keys = [], []
     lru_family_caches, lru_family_keys = [], []
     tasks, task_caches, task_keys = [], [], []
@@ -352,7 +343,7 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
     for config in configs:
         custom = config.spec is not None or config.builder is not None
         if not custom and config.capacity_lines <= 0:
-            out.append((config.key, _all_miss_stats(int(addrs.size))))
+            out[config.key] = _all_miss_stats(int(addrs.size))
             continue
         if custom:
             cache = config.build(backend, addrs)
@@ -361,7 +352,7 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
                 # base) replay the whole trace in one batched pass.
                 if not enqueue(cache, config.key):
                     cache.run(addrs)
-                    out.append((config.key, _extract_stats(cache)))
+                    out[config.key] = _extract_stats(cache)
             else:
                 object_caches.append(cache)
                 object_keys.append(config.key)
@@ -384,10 +375,10 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
             lru_family_keys.append(config.key)
         else:
             cache.run(addrs)
-            out.append((config.key, _extract_stats(cache)))
+            out[config.key] = _extract_stats(cache)
     if tasks:
         run_tasks(tasks, threads=threads)
-        out.extend((key, _extract_stats(cache))
+        out.update((key, _extract_stats(cache))
                    for key, cache in zip(task_keys, task_caches))
     if lru_family_caches:
         # One shared pass per set-indexing scheme (the kernel applies one
@@ -399,17 +390,17 @@ def _simulate_chunk(addrs: np.ndarray | TraceHandle,
                               []).append(cache)
         for group in groups.values():
             run_lru_family_batch(addrs, group)
-        out.extend((key, _extract_stats(cache))
+        out.update((key, _extract_stats(cache))
                    for key, cache in zip(lru_family_keys, lru_family_caches))
     if object_caches:
         _stream_object_pass(addrs, object_caches)
-        out.extend((key, _extract_stats(cache))
+        out.update((key, _extract_stats(cache))
                    for key, cache in zip(object_keys, object_caches))
-    return out
+    return list(out.items())
 
 
 def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
-                       max_workers: int, parallel: str,
+                       max_workers: int,
                        threads: int | None, trace_store, supervise: bool,
                        bank) -> SweepResult:
     """The ``sampling=`` execution path of :func:`run_sweep`.
@@ -447,7 +438,7 @@ def _run_sweep_sampled(trace, configs, sampling, *, backend: str,
                 policy=config.policy, backend=backend, seed=config.seed,
                 policy_kwargs=config.policy_kwargs)
         result = run_sampled(
-            trace, cache_spec, sampling, parallel=parallel,
+            trace, cache_spec, sampling,
             threads=threads, max_workers=max_workers,
             trace_store=trace_store, supervise=supervise, bank=bank)
         sampled[config.key] = result
@@ -611,7 +602,7 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
                     tasks.append(cache.replay_task(shared, parts))
                 else:
                     tasks.append(cache.replay_task(shared))
-            run_tasks(tasks, threads=resolve_threads(threads))
+            run_tasks(tasks, threads=threads)
     finally:
         if trace_store is None:
             store.close()
@@ -628,7 +619,6 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
               spec: SweepSpec | Sequence[SweepConfig],
               *, backend: str | None = None,
               max_workers: int | None = None,
-              parallel: str | None = None,
               threads: int | None = None,
               trace_store: TraceStore | None = None,
               supervise: bool = False,
@@ -639,18 +629,17 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     The trace is materialized once; all configs consume the same address
     array.  With the object backend the configs advance together in a
     single streaming pass; with the array backend each config is replayed
-    by the native kernel.  ``backend``/``max_workers``/``parallel``
-    override the spec.
+    by the native kernel.  ``backend``/``max_workers`` override the spec.
 
-    ``parallel`` picks the fan-out strategy (module docstring): "threads"
-    executes all batch-capable configs in one threaded native dispatch
-    (width from ``threads=``, else ``REPRO_THREADS``, else
-    ``max_workers``/host core count); "processes" distributes standard and
-    spec-based configs over a process pool when ``max_workers > 1``,
-    sharing the trace through ``trace_store`` (a temporary store when not
-    given).  Builder configs always run serially in-process because their
-    closures may not be picklable.  Results are bit-identical regardless
-    of the execution strategy.
+    The fan-out follows whether the native kernel is present (module
+    docstring): with it, all batch-capable configs execute in one threaded
+    native dispatch (width from ``threads=``, else ``max_workers`` when
+    above 1, else ``REPRO_THREADS`` or the usable core count); without it,
+    standard and spec-based configs spread over a process pool when
+    ``max_workers > 1``, sharing the trace through ``trace_store`` (a
+    temporary store when not given).  Builder configs always run serially
+    in-process because their closures may not be picklable.  Results are
+    bit-identical regardless of the execution strategy.
 
     ``supervise=True`` (default off, preserving the in-process fast
     path) routes the sweep through the fault-tolerant job runtime
@@ -675,12 +664,10 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
         backend = backend if backend is not None else spec.backend
         max_workers = (max_workers if max_workers is not None
                        else spec.max_workers)
-        parallel = parallel if parallel is not None else spec.parallel
     else:
         configs = tuple(spec)
         backend = backend if backend is not None else "auto"
         max_workers = max_workers if max_workers is not None else 1
-        parallel = parallel if parallel is not None else "auto"
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
     keys = [config.key for config in configs]
@@ -689,7 +676,7 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
     if sampling is not None:
         return _run_sweep_sampled(
             trace, configs, sampling, backend=backend,
-            max_workers=max_workers, parallel=parallel, threads=threads,
+            max_workers=max_workers, threads=threads,
             trace_store=trace_store, supervise=supervise, bank=bank)
     if supervise:
         from ..jobs import SweepJob, as_trace_source, run_jobs
@@ -706,39 +693,19 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
         instructions = 0
     if addrs.ndim != 1:
         raise ValueError("trace must be one-dimensional")
-    mode = resolve_parallel(parallel)
-
     stats: dict[Hashable, CacheStats] = {}
-    if mode == "threads":
-        width = resolve_threads(
-            threads if threads is not None
-            else (max_workers if max_workers > 1 else None))
-        stats.update(_simulate_chunk(addrs, configs, backend,
-                                     threads=width))
+    if resolve_parallel() == "threads":
+        width = thread_width(threads, max_workers)
+        stats.update(_simulate_chunk(addrs, backend, configs, threads=width))
     else:
-        local = [c for c in configs if c.builder is not None]
+        local = configs
         poolable = [c for c in configs if c.builder is None]
         if max_workers > 1 and len(poolable) > 1:
-            chunks = deal(poolable, max_workers)
-            store = trace_store if trace_store is not None else TraceStore()
-            try:
-                # Workers attach the store's one materialized copy of the
-                # trace instead of unpickling a private copy each.
-                handle = store.put(addrs)
-                with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-                    futures = [pool.submit(_simulate_chunk, handle, chunk,
-                                           backend)
-                               for chunk in chunks]
-                    for future in futures:
-                        stats.update(future.result())
-            finally:
-                if trace_store is None:
-                    store.close()
-        else:
-            local = list(configs)
-
-        if local:
-            stats.update(_simulate_chunk(addrs, local, backend))
+            stats.update(fan_out(_simulate_chunk, poolable, max_workers,
+                                 backend, trace=addrs,
+                                 trace_store=trace_store))
+            local = [c for c in configs if c.builder is not None]
+        stats.update(_simulate_chunk(addrs, backend, local))
 
     for config_stats in stats.values():
         if instructions and not config_stats.instructions:

@@ -35,6 +35,21 @@ class TestKeys:
                                    small_spec(sizes_mb=(0.5, 1.0)))
         assert job_key(base) != job_key(other)
 
+    def test_execution_width_is_not_part_of_a_mix_key(self):
+        """A resubmission at another width hits the same bank entries."""
+        from dataclasses import replace
+
+        from repro.sim.mixsweep import MixSweepSpec
+        from repro.workloads.mixes import random_mixes
+        mix, = random_mixes(1, apps_per_mix=2, seed=3)
+        spec = MixSweepSpec(total_mb=2.0, trace_accesses=9000,
+                            interval_accesses=3000)
+        key = job_key(MixSweepJob(spec=spec, mix=mix))
+        assert key == job_key(MixSweepJob(
+            spec=replace(spec, max_workers=4), mix=mix))
+        assert key != job_key(MixSweepJob(
+            spec=replace(spec, base_seed=7), mix=mix))
+
     def test_code_version_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_CODE_VERSION", "pinned-token")
         assert code_version() == "pinned-token"

@@ -31,8 +31,6 @@ class TestMixSweepSpec:
             MixSweepSpec(total_mb=0.0)
         with pytest.raises(ValueError, match="max_workers"):
             MixSweepSpec(total_mb=2.0, max_workers=0)
-        with pytest.raises(ValueError, match="parallel"):
-            MixSweepSpec(total_mb=2.0, parallel="fibers")
 
     def test_spec_is_hashable_and_picklable(self):
         import pickle
@@ -62,18 +60,22 @@ class TestRunMixSweep:
             assert serial[name].intervals == pooled[name].intervals
             assert serial[name].result == pooled[name].result
 
-    def test_pool_attaches_tracestore_handles(self):
-        """The pool path routes traces through one TraceStore: workers
-        attach the parent's materialized memmaps, never regenerate, and
-        every record matches the serial bank bit for bit."""
+    def test_pool_attaches_tracestore_handles(self, monkeypatch):
+        """The process-pool path (no native kernel) routes traces through
+        one TraceStore: workers attach the parent's materialized memmaps,
+        never regenerate, and every record matches the serial bank bit
+        for bit."""
+        from repro.cache import _native
         from repro.workloads import TraceStore
 
         mixes = _mixes()
         serial_bank = run_mix_sweep(mixes, _SPEC)
+        monkeypatch.setattr(_native, "_kernel", None)
+        monkeypatch.setattr(_native, "_kernel_tried", True)
         store = TraceStore()
         try:
             pooled = run_mix_sweep(mixes, _SPEC, max_workers=2,
-                                   parallel="processes", trace_store=store)
+                                   trace_store=store)
             # One materialization per distinct (app, length, seed) across
             # the whole sweep — the dedup the store exists for.
             assert len(store) == sum(len(mix) for mix in mixes)
@@ -84,10 +86,11 @@ class TestRunMixSweep:
             store.close()
 
     def test_threads_mode_matches_serial_bank(self):
+        """With the native kernel, ``max_workers=2`` runs mixes on a
+        thread pool (a process pool without it); records match serial."""
         mixes = _mixes()
         serial_bank = run_mix_sweep(mixes, _SPEC)
-        threaded = run_mix_sweep(mixes, _SPEC, max_workers=2,
-                                 parallel="threads")
+        threaded = run_mix_sweep(mixes, _SPEC, max_workers=2)
         for name in serial_bank.mix_names():
             assert threaded[name].intervals == serial_bank[name].intervals
             assert threaded[name].result == serial_bank[name].result

@@ -344,31 +344,37 @@ def test_sampled_estimate_within_ci_of_exact():
     assert report["relative_error"] < 0.10
 
 
-def test_execution_strategies_bit_identical():
+def test_execution_strategies_bit_identical(monkeypatch):
+    """Threaded native batches at any width, and the serial and pooled
+    legs without the kernel, produce the same windows."""
     trace = make_trace(40_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="DRRIP")
     spec = SamplingSpec(window=2_000, n_windows=6, offset=4_000,
                         base_seed=42)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
-    threaded1 = run_sampled(trace, cache, spec, parallel="threads",
-                            threads=1)
-    threaded4 = run_sampled(trace, cache, spec, parallel="threads",
-                            threads=4)
-    pooled = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=3)
+    threaded1 = run_sampled(trace, cache, spec, threads=1)
+    threaded4 = run_sampled(trace, cache, spec, threads=4)
+    monkeypatch.setattr(_native, "_kernel", None)
+    monkeypatch.setattr(_native, "_kernel_tried", True)
+    serial = run_sampled(trace, cache, spec, max_workers=1)
+    pooled = run_sampled(trace, cache, spec, max_workers=3)
     assert (window_key(serial) == window_key(threaded1)
             == window_key(threaded4) == window_key(pooled))
 
 
-def test_driver_without_kernel_matches_native(no_kernel):
+def test_driver_without_kernel_matches_native(monkeypatch):
     trace = make_trace(15_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="LRU")
-    spec = SamplingSpec(window=1_500, n_windows=4, offset=3_000)
-    a = run_sampled(trace, cache, spec, parallel="threads")
-    b = run_sampled(trace, cache, spec, parallel="processes",
-                    max_workers=1)
-    assert window_key(a) == window_key(b)
+    for warming in ("window", "checkpoint"):
+        spec = SamplingSpec(window=1_500, n_windows=4, offset=3_000,
+                            warming=warming)
+        native = run_sampled(trace, cache, spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(_native, "_kernel", None)
+            patch.setattr(_native, "_kernel_tried", True)
+            serial = run_sampled(trace, cache, spec)
+            pooled = run_sampled(trace, cache, spec, max_workers=2)
+        assert window_key(native) == window_key(serial), warming
+        assert window_key(native) == window_key(pooled), warming
 
 
 def test_run_sampled_rejects_bad_inputs():
@@ -408,8 +414,7 @@ def test_supervised_matches_serial_and_resumes(tmp_path):
     cache = CacheSpec(capacity_lines=512, ways=8, policy="DRRIP")
     spec = SamplingSpec(window=1_500, n_windows=5, offset=3_000,
                         base_seed=7)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
+    serial = run_sampled(trace, cache, spec)
     sup = run_sampled(trace, cache, spec, supervise=True,
                       bank=tmp_path, max_workers=2)
     assert window_key(sup) == window_key(serial)
@@ -423,8 +428,7 @@ def test_sigkill_mid_window_recovers_bit_identical(tmp_path):
     trace = make_trace(24_000)
     cache = CacheSpec(capacity_lines=512, ways=8, policy="LRU")
     spec = SamplingSpec(window=1_500, n_windows=5, offset=3_000)
-    serial = run_sampled(trace, cache, spec, parallel="processes",
-                         max_workers=1)
+    serial = run_sampled(trace, cache, spec)
     with fault_queue(tmp_path, max_workers=1) as queue:
         faulted = run_sampled(
             trace, cache, spec, supervise=True, queue=queue,

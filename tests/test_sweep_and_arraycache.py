@@ -201,14 +201,21 @@ class TestSweepEngine:
             for size in sizes:
                 assert obj.misses((policy, size)) == arr.misses((policy, size))
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        """Both fan-out legs match serial: the threaded native dispatch,
+        and the process pool that runs without the kernel."""
+        from repro.cache import _native
         trace = get_profile("omnetpp").trace(n_accesses=8000)
         spec = SweepSpec(sizes_mb=(0.25, 0.5, 1.0, 2.0),
                          policies=("LRU", "BRRIP"))
         serial = run_sweep(trace, spec)
-        parallel = run_sweep(trace, spec, max_workers=2)
+        threaded = run_sweep(trace, spec, max_workers=2)
+        monkeypatch.setattr(_native, "_kernel", None)
+        monkeypatch.setattr(_native, "_kernel_tried", True)
+        pooled = run_sweep(trace, spec, max_workers=2)
         for key, stats in serial.stats.items():
-            assert parallel[key].misses == stats.misses
+            assert threaded[key].misses == stats.misses
+            assert pooled[key].misses == stats.misses
 
     def test_expand_is_deterministic(self):
         spec = SweepSpec(sizes_mb=(1.0, 2.0), policies=("LRU", "BRRIP"),
