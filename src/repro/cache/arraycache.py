@@ -1406,10 +1406,11 @@ def run_lru_family_batch(trace, caches: Sequence[ArraySetAssociativeCache]
                          ) -> np.ndarray:
     """Replay one trace through several LRU/LIP caches in a single pass.
 
-    The shared-trace-decode fast path of batched sweeps: instead of one
-    kernel call per configuration (each streaming the whole trace through
-    memory again), all configurations advance together in one
-    ``multi_lru_run`` call.  Results — per-cache state, statistics and the
+    A shared-trace-decode replay: instead of one kernel call per
+    configuration (each streaming the whole trace through memory again),
+    all configurations advance together in one ``multi_lru_run`` call.
+    (The sweep engine does not use it: with the kernel, every sweep
+    config is one task of a threaded ``batch_run_threaded`` dispatch.)  Results — per-cache state, statistics and the
     returned per-cache miss counts of this replay — are bit-identical to
     calling ``cache.run(trace)`` on each cache separately; without a native
     kernel that is exactly what happens.

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, Sequence
+from typing import Dict
 
 __all__ = ["Series", "FigureResult", "format_table", "fast_mode",
            "trace_length", "num_mixes"]
@@ -26,10 +26,6 @@ class Series:
     def __post_init__(self):
         if len(self.x) != len(self.y):
             raise ValueError("x and y must have the same length")
-
-    def as_dict(self) -> Dict[float, float]:
-        """Mapping from x to y."""
-        return dict(zip(self.x, self.y))
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Fault-tolerant job runtime for long sweeps.
 
 A supervised execution layer over the declarative spec API: jobs are
-frozen, picklable payloads (:class:`SweepJob`, :class:`MatrixSweepJob`,
-:class:`MixSweepJob`, :class:`SamplingJob`, :class:`ControllerJob`,
-:class:`CacheJob`) wrapping the existing
-``SweepSpec``/``MixSweepSpec``/``CacheSpec``/``ChurnSpec`` descriptors;
+frozen, picklable payloads (:class:`SweepJob`, :class:`MixSweepJob`,
+:class:`SamplingJob`, :class:`ControllerJob`, :class:`CacheJob`)
+wrapping the existing
+``SweepSpec``/``MixSweepSpec``/``CacheSpec``/``ChurnSpec`` descriptors
+(a policy × scheme matrix rides ``SweepJob`` as
+:func:`~repro.sim.sweep.matrix_configs` configs);
 the :class:`JobQueue` runs each attempt in a fresh supervised worker
 process with heartbeat and wall-clock watchdogs, bounded retry with
 exponential backoff, cancellation, a degradation ladder that retries
@@ -28,8 +30,8 @@ from .drivers import run_jobs
 from .faults import FAULT_KINDS, FaultInjected, FaultPlan
 from .keys import canonical_digest, canonical_json, code_version, job_key
 from .payloads import (CacheJob, ControllerJob, InlineTrace, JobContext,
-                       MatrixSweepJob, MixSweepJob, SamplingJob, SweepJob,
-                       TraceRef, as_trace_source)
+                       MixSweepJob, SamplingJob, SweepJob, TraceRef,
+                       as_trace_source)
 from .queue import Job, JobFailed, JobQueue, JobState, RetryPolicy
 from .supervisor import SupervisedWorker, WorkerOutcome
 
@@ -37,7 +39,7 @@ __all__ = [
     "ResultBank", "DEFAULT_BANK_ENV",
     "JobQueue", "Job", "JobState", "JobFailed", "RetryPolicy",
     "SupervisedWorker", "WorkerOutcome",
-    "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
+    "SweepJob", "MixSweepJob", "ControllerJob",
     "CacheJob", "SamplingJob",
     "TraceRef", "InlineTrace", "as_trace_source", "JobContext",
     "FaultPlan", "FaultInjected", "FAULT_KINDS",

@@ -8,8 +8,9 @@ payloads (:class:`~repro.jobs.payloads.SweepJob`,
 :class:`~repro.jobs.payloads.MixSweepJob`,
 :class:`~repro.jobs.payloads.SamplingJob`,
 :class:`~repro.jobs.payloads.ControllerJob`) and hands them to
-:func:`run_jobs`; a supervised matrix sweep is
-``SweepResult.merge(run_jobs(MatrixSweepJob.shards_for_matrix(...)))``.
+:func:`run_jobs`; a supervised matrix sweep is ``run_sweep(trace,
+matrix_configs(...), supervise=True, bank=...)``, its cells dealt into
+``SweepJob`` shards like any other sweep configs.
 Results are bit-identical to the unsupervised path, because every
 per-unit seed in this codebase is a stable function of the unit's
 identity, never of its position in a batch or of which worker ran it.

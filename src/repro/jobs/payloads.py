@@ -38,7 +38,7 @@ from .faults import FaultPlan
 from .keys import job_key
 
 __all__ = ["TraceRef", "InlineTrace", "as_trace_source", "JobContext",
-           "SweepJob", "MatrixSweepJob", "MixSweepJob", "ControllerJob",
+           "SweepJob", "MixSweepJob", "ControllerJob",
            "CacheJob", "SamplingJob", "stats_to_payload",
            "stats_from_payload"]
 
@@ -257,112 +257,6 @@ class SweepJob:
                  for unit in payload["units"]}
         return SweepResult(stats,
                            instructions=int(payload.get("instructions", 0)))
-
-
-@dataclass(frozen=True)
-class MatrixSweepJob:
-    """Replay a shard of matrix-sweep cells against one trace.
-
-    A shard is typically one ``(policy, scheme)`` row of the matrix —
-    every size of that row — as produced by
-    :func:`~repro.sim.sweep.matrix_cells`.  Each cell banks under its own
-    content key (trace identity + cell + organization parameters, never
-    its shard or position), so a killed worker loses at most one cell and
-    a resubmitted matrix resumes from the bank.  Per-cell seeds are
-    stable functions of ``(seed, policy, scheme, size)`` — independent of
-    sharding — so any grouping is bit-identical to one whole-matrix
-    :func:`~repro.sim.sweep.run_matrix_sweep` call.
-    """
-
-    trace: TraceRef | InlineTrace
-    cells: tuple            #: ``(policy, scheme, size_mb)`` tuples
-    num_partitions: int = 1
-    ways: int = 16
-    backend: str = "auto"
-    seed: int | None = None
-    fault: FaultPlan | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        cells = tuple((str(p), str(s), float(m)) for p, s, m in self.cells)
-        if not cells:
-            raise ValueError("a matrix-sweep job needs at least one cell")
-        object.__setattr__(self, "cells", cells)
-
-    @classmethod
-    def shards_for_matrix(cls, trace, *, sizes_mb, policies,
-                          schemes=None, num_partitions: int = 1,
-                          ways: int = 16, backend: str = "auto",
-                          seed: int | None = None,
-                          faults=None) -> list["MatrixSweepJob"]:
-        """One job per ``(policy, scheme)`` row of the matrix.
-
-        Rows are the natural shard: cells of a row differ only in size,
-        and :func:`~repro.sim.sweep.matrix_cells` already groups them
-        contiguously (skipping the Belady × partitioned-scheme cells that
-        do not exist).  ``faults`` maps row index to a
-        :class:`~repro.jobs.faults.FaultPlan` (fault-suite hook).
-        """
-        from ..sim.sweep import MATRIX_SCHEMES, matrix_cells
-        if schemes is None:
-            schemes = MATRIX_SCHEMES
-        source = as_trace_source(trace)
-        rows: dict[tuple[str, str], list] = {}
-        for cell in matrix_cells(sizes_mb, policies, schemes):
-            rows.setdefault(cell[:2], []).append(cell)
-        jobs = []
-        for index, row in enumerate(rows.values()):
-            fault = None if faults is None else faults.get(index)
-            jobs.append(cls(trace=source, cells=tuple(row),
-                            num_partitions=num_partitions, ways=ways,
-                            backend=backend, seed=seed, fault=fault))
-        return jobs
-
-    def unit_key(self, cell) -> str:
-        """Bank key of one cell's stats on this trace."""
-        return job_key({"unit": "matrix-cell", "trace": self.trace,
-                        "cell": list(cell),
-                        "num_partitions": int(self.num_partitions),
-                        "ways": int(self.ways), "backend": self.backend,
-                        "seed": None if self.seed is None
-                        else int(self.seed)})
-
-    def execute(self, ctx: JobContext) -> dict:
-        from ..sim.sweep import run_matrix_sweep
-        from ..workloads.tracestore import TraceStore
-        trace = self.trace.materialize()
-        units = []
-        banked_units = 0
-        store = TraceStore()    # put() dedupes: one materialization
-        try:
-            for i, cell in enumerate(self.cells):
-                ctx.unit("unit", i)
-                ukey = self.unit_key(cell)
-                banked = ctx.bank.get(ukey) if ctx.bank is not None else None
-                if banked is not None:
-                    banked_units += 1
-                    stats = banked
-                else:
-                    policy, scheme, size_mb = cell
-                    result = run_matrix_sweep(
-                        trace, sizes_mb=(size_mb,), policies=(policy,),
-                        schemes=(scheme,),
-                        num_partitions=self.num_partitions, ways=self.ways,
-                        backend=self.backend, threads=1, seed=self.seed,
-                        trace_store=store)
-                    stats = stats_to_payload(result[cell])
-                    if ctx.bank is not None:
-                        ctx.bank.put(ukey, stats, meta=ctx.unit_meta())
-                units.append({"key": _key_to_json(cell), "stats": stats})
-        finally:
-            store.close()
-        return {"units": units, "instructions": trace.instructions,
-                "banked_units": banked_units}
-
-    @staticmethod
-    def load(payload: dict):
-        """Rebuild the :class:`~repro.sim.sweep.SweepResult` keyed by
-        ``(policy, scheme, size_mb)`` cells."""
-        return SweepJob.load(payload)
 
 
 @dataclass(frozen=True)

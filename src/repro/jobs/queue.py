@@ -222,10 +222,6 @@ class JobQueue:
         self._wake.set()
         return job
 
-    def submit_many(self, payloads) -> list[Job]:
-        """Submit several payloads; order of the returned jobs matches."""
-        return [self.submit(p) for p in payloads]
-
     # ------------------------------------------------------------------ #
     # Introspection and control
     # ------------------------------------------------------------------ #

@@ -10,12 +10,14 @@ The pFSA/SMARTS recipe for traces too long to replay exactly:
    fast-forward* pass that streams the whole trace once and emits a
    :class:`~repro.sampling.checkpoint.CacheCheckpoint` at every window
    boundary (``warming="checkpoint"``);
-3. simulate the windows in detail — as one threaded native batch when
-   the native kernel is present (:mod:`repro.cache.threadbatch`), else
-   serially or fanned over a process pool (``max_workers > 1``, the trace
-   shared through a :class:`~repro.workloads.tracestore.TraceStore`
-   memmap or generated on demand from a
-   :class:`~repro.workloads.scale.ChunkedTrace`);
+3. simulate the windows in detail through one window engine,
+   :func:`simulate_window_units`: every window's warmup, then every
+   window, as two :func:`~repro.cache.threadbatch.run_tasks` batches —
+   threaded and native when the kernel is present, each task's serial
+   fallback otherwise, where the units may fan over a process pool
+   (``max_workers > 1``, the trace shared through a
+   :class:`~repro.workloads.tracestore.TraceStore` memmap or generated on
+   demand from a :class:`~repro.workloads.scale.ChunkedTrace`);
 4. aggregate the per-window miss rates into a point estimate with a
    confidence interval (:class:`~repro.sampling.estimator.SampledResult`).
 
@@ -53,8 +55,8 @@ from ..cache.factory import SEEDED_POLICIES
 from ..cache.hashing import derive_seed
 from ..cache.spec import CacheSpec, PartitionSpec, TalusSpec, build
 from ..cache.talus_cache import TalusCache
-from ..cache.threadbatch import (deal, fan_out, resolve_parallel, run_tasks,
-                                 thread_width)
+from ..cache.threadbatch import (ReplayTask, deal, fan_out, resolve_parallel,
+                                 run_tasks, thread_width)
 from ..workloads.access import Trace
 from ..workloads.scale import ChunkedTrace
 from ..workloads.tracestore import TraceHandle, TraceStore
@@ -206,13 +208,12 @@ def _replay(cache, addrs) -> None:
         cache.run(addrs)
 
 
-def _replay_task(cache, addrs):
-    """This cache's ReplayTask for ``addrs``, or ``None`` when the cache
-    has no batch entry point (object backend) — callers then fall back
-    to the serial path, as :mod:`repro.sim.sweep` does."""
+def _replay_task(cache, addrs) -> ReplayTask:
+    """This cache's ReplayTask for ``addrs``; a cache with no batch entry
+    point (object backend) gets a task whose fallback is :func:`_replay`."""
     maker = getattr(cache, "replay_task", None)
     if maker is None:
-        return None
+        return ReplayTask(fallback=lambda: _replay(cache, addrs))
     if isinstance(cache, TalusCache):
         return maker(addrs, 0)
     return maker(addrs)
@@ -245,63 +246,38 @@ def window_units(spec: SamplingSpec, cache, n_accesses: int) -> tuple:
     return tuple(units)
 
 
-def simulate_window_units(source, cache, units) -> list[tuple]:
-    """Replay window units against ``source`` (worker entry point).
+def simulate_window_units(source, cache, units,
+                          threads: int | None = None) -> list[tuple]:
+    """Replay window units against ``source`` (the one window engine).
 
     ``source`` may be a ChunkedTrace, TraceHandle, Trace or address
     array; returns ``(index, start, accesses, misses, warmup)`` tuples.
-    Pure function of its arguments — every execution strategy funnels
-    through it (or through its threaded twin) and agrees bit for bit.
+    A unit's last field is its per-window seed (:func:`window_units`), or
+    under ``warming="checkpoint"`` the window's warm
+    :class:`~repro.sampling.checkpoint.CacheCheckpoint`.  Every window
+    gets its own cache, and the units replay as two :func:`run_tasks`
+    batches — all warmups, then all windows — threaded and native with
+    the kernel, each task's serial fallback without it.  Pure function of
+    its arguments: the threaded, pooled and supervised legs all funnel
+    through it and agree bit for bit.
     """
     view = _as_view(source)
-    out = []
-    for index, warm_start, start, stop, seed in units:
-        replayer = build(_spec_with_seed(cache, seed))
-        _replay(replayer, view.segment(warm_start, start))
-        a0, m0 = _counts(replayer)
-        _replay(replayer, view.segment(start, stop))
-        a1, m1 = _counts(replayer)
-        out.append((index, start, a1 - a0, m1 - m0, start - warm_start))
-    return out
-
-
-def _simulate_windows_threaded(view, cache, units, threads) -> list[tuple]:
-    """Threaded twin of :func:`simulate_window_units`: two native batch
-    dispatches (all warmups, then all windows) over per-window caches."""
-    caches = [build(_spec_with_seed(cache, seed))
-              for _, _, _, _, seed in units]
-    if not caches or getattr(caches[0], "replay_task", None) is None:
-        return simulate_window_units(view, cache, units)
-    warm_tasks = []
-    for replayer, (_, warm_start, start, _, _) in zip(caches, units):
-        seg = view.segment(warm_start, start)
-        if len(seg):
-            warm_tasks.append(_replay_task(replayer, seg))
-    if warm_tasks:
-        run_tasks(warm_tasks, threads=threads)
-    baselines = [_counts(replayer) for replayer in caches]
+    replayers = [state.build() if isinstance(state, CacheCheckpoint)
+                 else build(_spec_with_seed(cache, state))
+                 for *_, state in units]
+    run_tasks([_replay_task(replayer, view.segment(warm_start, start))
+               for replayer, (_, warm_start, start, _, _)
+               in zip(replayers, units) if start > warm_start],
+              threads=threads)
+    baselines = [_counts(replayer) for replayer in replayers]
     run_tasks([_replay_task(replayer, view.segment(start, stop))
-               for replayer, (_, _, start, stop, _) in zip(caches, units)],
+               for replayer, (_, _, start, stop, _) in zip(replayers, units)],
               threads=threads)
     out = []
-    for replayer, (index, warm_start, start, stop, _), (a0, m0) in zip(
-            caches, units, baselines):
+    for replayer, (index, warm_start, start, _, _), (a0, m0) in zip(
+            replayers, units, baselines):
         a1, m1 = _counts(replayer)
         out.append((index, start, a1 - a0, m1 - m0, start - warm_start))
-    return out
-
-
-def simulate_checkpoint_units(source, cache, units) -> list[tuple]:
-    """Replay ``(index, checkpoint, start, stop)`` units (worker entry
-    point of the checkpoint-warming mode)."""
-    view = _as_view(source)
-    out = []
-    for index, ckpt, start, stop in units:
-        replayer = ckpt.build()
-        a0, m0 = _counts(replayer)
-        _replay(replayer, view.segment(start, stop))
-        a1, m1 = _counts(replayer)
-        out.append((index, start, a1 - a0, m1 - m0, 0))
     return out
 
 
@@ -378,7 +354,6 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
     view = _as_view(trace)
     n = view.n_accesses
     max_workers = max_workers if max_workers is not None else 1
-    threaded = resolve_parallel() == "threads"
     # What pool workers receive: a ChunkedTrace or TraceHandle as is, else
     # the address array (fan_out shares it through one TraceStore).
     pool_source = (trace if isinstance(trace, (ChunkedTrace, TraceHandle))
@@ -389,41 +364,28 @@ def run_sampled(trace, cache, spec: SamplingSpec, *,
             raise ValueError(
                 "warming='checkpoint' is a serial validation pass and is "
                 "not supervised; use warming='window' with supervise=True")
-        checkpoints = warm_checkpoints(trace, cache, spec)
-        units = [(i, ckpt, ckpt.position, ckpt.position + spec.window)
-                 for i, ckpt in enumerate(checkpoints)]
-        caches = [ckpt.build() for _, ckpt, _, _ in units] if threaded else []
-        if caches and getattr(caches[0], "replay_task", None) is not None:
-            baselines = [_counts(c) for c in caches]
-            run_tasks([_replay_task(c, view.segment(start, stop))
-                       for c, (_, _, start, stop) in zip(caches, units)],
-                      threads=thread_width(threads, max_workers))
-            rows = []
-            for c, (index, _, start, _), (a0, m0) in zip(caches, units,
-                                                         baselines):
-                a1, m1 = _counts(c)
-                rows.append((index, start, a1 - a0, m1 - m0, 0))
-        else:
-            rows = fan_out(simulate_checkpoint_units, units, max_workers,
-                           cache, trace=pool_source, trace_store=trace_store)
+        units = tuple((i, ckpt.position, ckpt.position,
+                       ckpt.position + spec.window, ckpt)
+                      for i, ckpt in enumerate(
+                          warm_checkpoints(trace, cache, spec)))
     else:
         units = window_units(spec, cache, n)
-        if supervise:
-            from ..jobs import SamplingJob, as_trace_source, run_jobs
-            source = as_trace_source(trace)
-            shards = run_jobs(
-                [SamplingJob(trace=source, cache=cache, units=shard,
-                             fault=None if faults is None
-                             else faults.get(index))
-                 for index, shard in enumerate(deal(units, max_workers))],
-                bank=bank, queue=queue, max_workers=max_workers)
-            rows = [row for shard in shards for row in shard]
-        elif threaded:
-            rows = _simulate_windows_threaded(
-                view, cache, units, thread_width(threads, max_workers))
-        else:
-            rows = fan_out(simulate_window_units, units, max_workers, cache,
-                           trace=pool_source, trace_store=trace_store)
+    if supervise:
+        from ..jobs import SamplingJob, as_trace_source, run_jobs
+        source = as_trace_source(trace)
+        shards = run_jobs(
+            [SamplingJob(trace=source, cache=cache, units=shard,
+                         fault=None if faults is None
+                         else faults.get(index))
+             for index, shard in enumerate(deal(units, max_workers))],
+            bank=bank, queue=queue, max_workers=max_workers)
+        rows = [row for shard in shards for row in shard]
+    elif resolve_parallel() == "threads":
+        rows = simulate_window_units(view, cache, units,
+                                     thread_width(threads, max_workers))
+    else:
+        rows = fan_out(simulate_window_units, units, max_workers, cache,
+                       trace=pool_source, trace_store=trace_store)
 
     windows = tuple(WindowResult(index=index, start=start,
                                  accesses=accesses, misses=misses,

@@ -349,11 +349,6 @@ class SharedCacheExperiment:
                                        ipc=ipc_from_mpki(profile, float(mpki))))
         return MixResult(scheme=scheme, apps=tuple(apps))
 
-    # ------------------------------------------------------------------ #
-    def hull_curves(self) -> List[MissCurve]:
-        """Convex hulls of the per-application curves (Talus pre-processing)."""
-        return [convex_hull(curve) for curve in self.curves]
-
 
 # --------------------------------------------------------------------- #
 # Execution-driven multi-application reconfiguration (Figs. 12/13)

@@ -11,31 +11,33 @@ the *what* (a :class:`SweepSpec` describing all the points) from the *how*
   (the trace is materialized and decoded once, not once per point).
 * ``array``  — the numpy/native array cache
   (:mod:`repro.cache.arraycache`): each config is replayed by a compiled
-  kernel, typically 10-30x faster than the object model.  LRU/LIP configs
-  additionally share a *single* kernel pass over the trace
-  (:func:`~repro.cache.arraycache.run_lru_family_batch`): all sizes of a
-  recency-family size sweep advance together, decoding the trace once.
+  kernel, typically 10-30x faster than the object model.
 * ``auto``   — the array backend for every policy (the matrix is total):
   bit-identical to the object model on the exact tier (LRU, LIP, SRRIP,
   PDP), seeded-deterministic on the randomized tier, miss-count-exact
   for Belady.  This is the default; ask for ``backend="object"``
   explicitly to stream the reference model.
 
+One in-process engine, :func:`_simulate_chunk`, replays every sweep: the
+plain ``(policy, size)`` sweep, spec-based configs, and the policy ×
+scheme matrix (:func:`run_matrix_sweep`, whose cells are
+:func:`matrix_configs`).  Every built cache with a ``replay_task`` becomes
+one :class:`~repro.cache.threadbatch.ReplayTask` of a single
+:func:`~repro.cache.threadbatch.run_tasks` call; object-model and builder
+caches with no ``replay_task`` stream serially in one per-access pass.
 Independent configs run in parallel by the one execution rule of
 :func:`~repro.cache.threadbatch.resolve_parallel`, which follows from
 whether the native kernel is present:
 
-* with the kernel, every batch-capable config becomes a
-  :class:`~repro.cache.threadbatch.ReplayTask` and the whole sweep is one
-  GIL-releasing ``batch_run_threaded`` call into the native kernel
-  (width from ``threads=``, ``max_workers`` or ``REPRO_THREADS``);
-  object-model and builder configs stream serially as before;
-* without it (``REPRO_NATIVE=0``), independent configs fan out over a
-  process pool when ``max_workers > 1``
-  (:func:`~repro.cache.threadbatch.fan_out`), with the address array
-  shared through a :class:`~repro.workloads.tracestore.TraceStore`
-  memmap so workers attach to one materialized trace instead of
-  re-pickling it.
+* with the kernel, that call is one GIL-releasing ``batch_run_threaded``
+  dispatch into the native kernel (width from ``threads=``,
+  ``max_workers`` or ``REPRO_THREADS``);
+* without it (``REPRO_NATIVE=0``), each task runs its serial fallback,
+  and independent configs fan out over a process pool when
+  ``max_workers > 1`` (:func:`~repro.cache.threadbatch.fan_out`), with
+  the address array shared through a
+  :class:`~repro.workloads.tracestore.TraceStore` memmap so workers
+  attach to one materialized trace instead of re-pickling it.
 
 Results are independent of the execution strategy: every config derives a
 deterministic seed from ``(base_seed, config index)``, so serial, batched,
@@ -50,12 +52,11 @@ Example
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
-from ..cache.arraycache import run_lru_family_batch
 from ..cache.cache import CacheStats
 from ..cache.factory import BACKENDS, build_cache
 from ..cache.hashing import derive_seed
@@ -67,8 +68,8 @@ from ..workloads.scale import paper_mb_to_lines
 from ..workloads.tracestore import TraceHandle, TraceStore
 
 __all__ = ["SweepConfig", "SweepSpec", "SweepResult", "run_sweep",
-           "run_matrix_sweep", "matrix_cells", "MATRIX_SCHEMES",
-           "DEFAULT_WAYS"]
+           "run_matrix_sweep", "matrix_cells", "matrix_configs",
+           "MATRIX_SCHEMES", "DEFAULT_WAYS"]
 
 #: Default associativity of simulated caches (scaled stand-in for the
 #: paper's 32-way LLC).
@@ -97,9 +98,10 @@ class SweepConfig:
     the same engine two ways:
 
     * ``spec`` — a declarative :mod:`repro.cache.spec` spec
-      (:class:`~repro.cache.spec.TalusSpec` or an explicit
-      :class:`~repro.cache.spec.CacheSpec`; the built cache must accept
-      single-address accesses).  Specs are picklable, so these configs
+      (:class:`~repro.cache.spec.TalusSpec`, an explicit
+      :class:`~repro.cache.spec.CacheSpec`, or a bare
+      :class:`~repro.cache.spec.PartitionSpec`, which replays every
+      access into partition 0).  Specs are picklable, so these configs
       can fan out over a process pool, and caches whose backend supports
       batched replay run one native-kernel pass instead of joining the
       per-access streaming loop.
@@ -266,14 +268,37 @@ class SweepResult:
 
 
 def _extract_stats(cache) -> CacheStats:
-    """Statistics of any cache organization the sweep can drive."""
+    """Statistics of any cache organization the sweep can drive (a bare
+    partitioned cache sums its per-partition stats)."""
     stats = getattr(cache, "stats", None)
     if isinstance(stats, CacheStats):
         return stats
     logical = getattr(cache, "logical_stats", None)
     if logical:
         return logical[0]
+    partition_stats = getattr(cache, "partition_stats", None)
+    if partition_stats:
+        total = CacheStats()
+        for s in partition_stats:
+            total.accesses += s.accesses
+            total.hits += s.hits
+            total.misses += s.misses
+        return total
     raise TypeError(f"cannot extract stats from {type(cache).__name__}")
+
+
+def _addresses(trace) -> tuple[np.ndarray, int]:
+    """A sweep trace as a contiguous int64 address array plus its
+    instruction count (0 for a bare address sequence)."""
+    if isinstance(trace, Trace):
+        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
+        instructions = trace.instructions
+    else:
+        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
+        instructions = 0
+    if addrs.ndim != 1:
+        raise ValueError("trace must be one-dimensional")
+    return addrs, instructions
 
 
 def _all_miss_stats(n_accesses: int) -> CacheStats:
@@ -282,8 +307,11 @@ def _all_miss_stats(n_accesses: int) -> CacheStats:
 
 
 def _stream_object_pass(addrs: np.ndarray, caches: Sequence[object]) -> None:
-    """Advance every cache by one access per trace element, one trace pass."""
-    accessors = [cache.access for cache in caches]
+    """Advance every cache by one access per trace element, one trace pass
+    (a bare partitioned cache takes every access into partition 0)."""
+    accessors = [(lambda a, access=cache.access: access(a, 0))
+                 if hasattr(cache, "partition_stats") else cache.access
+                 for cache in caches]
     if len(accessors) == 1:
         access = accessors[0]
         for a in addrs.tolist():
@@ -294,108 +322,50 @@ def _stream_object_pass(addrs: np.ndarray, caches: Sequence[object]) -> None:
             access(a)
 
 
-def _make_replay_task(cache, addrs: np.ndarray):
-    """This cache's :class:`ReplayTask` for ``addrs``, or ``None``.
-
-    ``None`` means the cache has no single-trace ``replay_task`` entry
-    point (e.g. a bare partitioned cache that needs a partition stream);
-    such configs keep their batched ``run`` path.
-    """
-    maker = getattr(cache, "replay_task", None)
-    if maker is None:
-        return None
-    try:
-        return maker(addrs)
-    except TypeError:
-        return None
-
-
 def _simulate_chunk(addrs: np.ndarray | TraceHandle, backend: str,
                     configs: Sequence[SweepConfig],
-                    threads: int = 0) -> list[tuple[Hashable, CacheStats]]:
-    """Simulate a group of configs over one trace pass (worker entry point).
+                    threads: int | None = None
+                    ) -> list[tuple[Hashable, CacheStats]]:
+    """Simulate a group of configs over one trace (worker entry point).
 
     Returns ``(key, stats)`` pairs in ``configs`` order.  ``addrs`` may be
     a :class:`TraceHandle`, which pool workers attach zero-copy instead of
-    receiving the pickled array.  With ``threads >= 1`` every
-    batch-capable config becomes a :class:`ReplayTask` and the chunk
-    executes as one threaded native dispatch (bit-identical to the serial
-    per-config replays at any width).
+    receiving the pickled array.  Every built cache with a
+    ``replay_task`` becomes one :class:`ReplayTask` of a single
+    :func:`run_tasks` call: one threaded native dispatch with the kernel
+    (bit-identical to serial per-config replays at any ``threads``
+    width), each task's serial fallback without it.  A bare partitioned
+    cache replays every access into partition 0 through one all-zeros
+    partition lane the whole call shares.  Caches with no
+    ``replay_task`` (the object model) advance together in one
+    per-access streaming pass.
     """
     if isinstance(addrs, TraceHandle):
         addrs = addrs.array()
     out = dict.fromkeys(config.key for config in configs)
-    object_caches, object_keys = [], []
-    lru_family_caches, lru_family_keys = [], []
-    tasks, task_caches, task_keys = [], [], []
-
-    def enqueue(cache, key) -> bool:
-        if threads < 1:
-            return False
-        task = _make_replay_task(cache, addrs)
-        if task is None:
-            return False
-        tasks.append(task)
-        task_caches.append(cache)
-        task_keys.append(key)
-        return True
-
+    tasks, streamed = [], []
+    lane = None
     for config in configs:
-        custom = config.spec is not None or config.builder is not None
-        if not custom and config.capacity_lines <= 0:
+        if (config.spec is None and config.builder is None
+                and config.capacity_lines <= 0):
             out[config.key] = _all_miss_stats(int(addrs.size))
             continue
-        if custom:
-            cache = config.build(backend, addrs)
-            if getattr(cache, "supports_batch_replay", False):
-                # Array-backed organizations (incl. Talus on an array
-                # base) replay the whole trace in one batched pass.
-                if not enqueue(cache, config.key):
-                    cache.run(addrs)
-                    out[config.key] = _extract_stats(cache)
-            else:
-                object_caches.append(cache)
-                object_keys.append(config.key)
-            continue
-        if backend == "object":
-            # The explicit reference baseline: all configs stream together
-            # in one per-access pass over the trace.
-            object_caches.append(config.build("object"))
-            object_keys.append(config.key)
-            continue
-        # The policy matrix is total on the array backend, so "auto" and
-        # "array" both land here — there is no per-policy object fallback.
-        cache = config.build("array", addrs)
-        if enqueue(cache, config.key):
-            pass
-        elif config.policy in ("LRU", "LIP"):
-            # Recency-family array configs share one trace pass (the
-            # multi-config kernel); bit-identical to per-config runs.
-            lru_family_caches.append(cache)
-            lru_family_keys.append(config.key)
+        cache = config.build(backend, addrs)
+        maker = getattr(cache, "replay_task", None)
+        if maker is None:
+            streamed.append((config.key, cache))
+        elif hasattr(cache, "partition_stats"):
+            if lane is None:
+                lane = np.zeros(addrs.size, dtype=np.int64)
+            tasks.append((config.key, cache, maker(addrs, lane)))
         else:
-            cache.run(addrs)
-            out[config.key] = _extract_stats(cache)
+            tasks.append((config.key, cache, maker(addrs)))
     if tasks:
-        run_tasks(tasks, threads=threads)
-        out.update((key, _extract_stats(cache))
-                   for key, cache in zip(task_keys, task_caches))
-    if lru_family_caches:
-        # One shared pass per set-indexing scheme (the kernel applies one
-        # scheme to the whole batch; sweeps mixing modulo and hashed
-        # configs split into one batch each).
-        groups: dict[tuple, list] = {}
-        for cache in lru_family_caches:
-            groups.setdefault((cache.hashed_index, cache.index_seed),
-                              []).append(cache)
-        for group in groups.values():
-            run_lru_family_batch(addrs, group)
-        out.update((key, _extract_stats(cache))
-                   for key, cache in zip(lru_family_keys, lru_family_caches))
-    if object_caches:
-        _stream_object_pass(addrs, object_caches)
-        out.update((key, _extract_stats(cache))
-                   for key, cache in zip(object_keys, object_caches))
+        run_tasks([task for _, _, task in tasks], threads=threads)
+        out.update((key, _extract_stats(cache)) for key, cache, _ in tasks)
+    if streamed:
+        _stream_object_pass(addrs, [cache for _, cache in streamed])
+        out.update((key, _extract_stats(cache)) for key, cache in streamed)
     return list(out.items())
 
 
@@ -465,11 +435,10 @@ def matrix_cells(sizes_mb: Sequence[float],
     """The ``(policy, scheme, size_mb)`` cells of a matrix sweep.
 
     One tuple per sweep point, in the deterministic order
-    :func:`run_matrix_sweep` simulates (and keys) them.  The job runtime
-    shards a matrix sweep one ``(policy, scheme)`` row at a time, so rows
-    group contiguously.  Belady is offline with no partitioned
-    organization, so its cells exist for scheme ``"none"`` only — other
-    schemes simply skip it.
+    :func:`run_matrix_sweep` simulates (and keys) them; the cells of one
+    ``(policy, scheme)`` row group contiguously.  Belady is offline with
+    no partitioned organization, so its cells exist for scheme ``"none"``
+    only — other schemes simply skip it.
     """
     cells = []
     for policy in policies:
@@ -489,43 +458,50 @@ def matrix_cells(sizes_mb: Sequence[float],
     return tuple(cells)
 
 
-def _matrix_stats(cache) -> CacheStats:
-    """Whole-cache statistics of a matrix cell (partitioned caches sum
-    their per-partition stats)."""
-    stats = getattr(cache, "stats", None)
-    if isinstance(stats, CacheStats):
-        return stats
-    partition_stats = getattr(cache, "partition_stats", None)
-    if partition_stats:
-        total = CacheStats()
-        for s in partition_stats:
-            total.accesses += s.accesses
-            total.hits += s.hits
-            total.misses += s.misses
-        return total
-    return _extract_stats(cache)
+def matrix_configs(sizes_mb: Sequence[float],
+                   policies: Sequence[str],
+                   schemes: Sequence[str] = MATRIX_SCHEMES, *,
+                   num_partitions: int = 1,
+                   ways: int = DEFAULT_WAYS,
+                   backend: str = "auto",
+                   seed: int | None = None) -> tuple[SweepConfig, ...]:
+    """The :func:`matrix_cells` of a matrix sweep as :class:`SweepConfig`
+    points, keyed ``(policy, scheme, size_mb)``.
 
-
-def _build_matrix_cell(cell: tuple[str, str, float], *, num_partitions: int,
-                       ways: int, backend: str, seed: int | None, addrs):
-    """Instantiate the cache for one matrix cell."""
+    Scheme ``"none"`` cells carry a :class:`~repro.cache.spec.CacheSpec`,
+    the others a :class:`~repro.cache.spec.PartitionSpec` of
+    ``num_partitions`` partitions (the sweep replays every access into
+    partition 0).  Randomized policies get a per-cell seed derived from
+    ``(seed, policy, scheme, size)`` — independent of sharding, so any
+    grouping of the configs (supervised shards, job CLI) is
+    bit-identical to one :func:`run_matrix_sweep` call.
+    """
     from ..cache.factory import SEEDED_POLICIES
     from ..cache.spec import CacheSpec, PartitionSpec
-    policy, scheme, size_mb = cell
-    capacity = paper_mb_to_lines(size_mb)
-    cell_seed = (None if seed is None or policy not in SEEDED_POLICIES
-                 else _derive_seed(seed, f"{policy}|{scheme}", size_mb))
-    if scheme == "none":
-        spec = CacheSpec(capacity_lines=capacity, ways=ways, policy=policy,
-                         backend=backend, seed=cell_seed)
-        if policy == "Belady":
-            spec = spec.with_trace(addrs)
-        return spec.build()
-    policy_kwargs = () if cell_seed is None else (("seed", cell_seed),)
-    return PartitionSpec(scheme=scheme, capacity_lines=capacity,
-                         num_partitions=num_partitions, policy=policy,
-                         ways=ways, backend=backend,
-                         policy_kwargs=policy_kwargs).build()
+    cells = matrix_cells(sizes_mb, policies, schemes)
+    if num_partitions < 1:
+        raise ValueError("num_partitions must be >= 1")
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
+    configs = []
+    for cell in cells:
+        policy, scheme, size_mb = cell
+        capacity = paper_mb_to_lines(size_mb)
+        cell_seed = (None if seed is None or policy not in SEEDED_POLICIES
+                     else _derive_seed(seed, f"{policy}|{scheme}", size_mb))
+        if scheme == "none":
+            spec = CacheSpec(capacity_lines=capacity, ways=ways,
+                             policy=policy, backend=backend, seed=cell_seed)
+        else:
+            spec = PartitionSpec(
+                scheme=scheme, capacity_lines=capacity,
+                num_partitions=num_partitions, policy=policy, ways=ways,
+                backend=backend,
+                policy_kwargs=() if cell_seed is None
+                else (("seed", cell_seed),))
+        configs.append(SweepConfig(key=cell, size_mb=size_mb, policy=policy,
+                                   ways=ways, spec=spec))
+    return tuple(configs)
 
 
 def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
@@ -533,86 +509,44 @@ def run_matrix_sweep(trace: Trace | np.ndarray | Sequence[int],
                      policies: Sequence[str] = ("LRU",),
                      schemes: Sequence[str] = MATRIX_SCHEMES,
                      num_partitions: int = 1,
-                     parts: np.ndarray | Sequence[int] | None = None,
                      ways: int = DEFAULT_WAYS,
                      backend: str = "auto",
                      threads: int | None = None,
-                     seed: int | None = None,
-                     trace_store: TraceStore | None = None) -> SweepResult:
+                     seed: int | None = None) -> SweepResult:
     """Sweep the whole policy × scheme × size matrix in one threaded pass.
 
-    Every cell — each replacement policy on each partitioning scheme at
-    each size — becomes one :class:`~repro.cache.threadbatch.ReplayTask`,
-    and the entire matrix executes as a single GIL-releasing
+    :func:`run_sweep` over :func:`matrix_configs`: every cell — each
+    replacement policy on each partitioning scheme at each size — becomes
+    one :class:`~repro.cache.threadbatch.ReplayTask`, and with the native
+    kernel the entire matrix executes as a single GIL-releasing
     ``batch_run_threaded`` dispatch over *one* shared copy of the trace (a
-    :class:`~repro.workloads.tracestore.TraceStore` memmap, so a
-    whole-matrix sweep decodes and stores the trace once, not once per
-    cell).  Results are keyed ``(policy, scheme, size_mb)`` and are
-    bit-identical at any thread width.
+    :class:`~repro.workloads.tracestore.TraceStore` memmap).  Partitioned
+    cells take every access into partition 0.  Results are keyed
+    ``(policy, scheme, size_mb)`` and are bit-identical at any thread
+    width.
 
     ``backend="object"`` instead streams every cell through the reference
     object model, access by access, on one core — the baseline
     ``benchmarks/bench_matrix_sweep.py`` measures the threaded matrix
-    against.
-
-    ``parts`` optionally tags each access with a partition id for the
-    partitioned schemes (all accesses land in partition 0 by default);
-    plain-cache cells ignore it.
+    against.  A supervised, banked matrix is
+    ``run_sweep(trace, matrix_configs(...), supervise=True, bank=...)``.
     """
-    cells = matrix_cells(sizes_mb, policies, schemes)
-    if num_partitions < 1:
-        raise ValueError("num_partitions must be >= 1")
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}; known: {BACKENDS}")
-    if isinstance(trace, Trace):
-        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
-        instructions = trace.instructions
-    else:
-        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-        instructions = 0
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
-    if parts is None:
-        parts = np.zeros(addrs.size, dtype=np.int64)
-    else:
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if parts.shape != addrs.shape:
-            raise ValueError("parts must match the trace's shape")
-
-    store = trace_store if trace_store is not None else TraceStore()
+    configs = matrix_configs(sizes_mb, policies, schemes,
+                             num_partitions=num_partitions, ways=ways,
+                             backend=backend, seed=seed)
+    addrs, _ = _addresses(trace)
+    store = TraceStore()
     try:
-        # All cells replay the store's one materialized copy.
+        # All cells replay the store's one materialized copy.  Keep this
+        # put: it is the only workloads.trace_gen call in a timed
+        # perfbench matrix_sweep run, whose traced check requires that
+        # layer to be nonzero.
         shared = store.put(addrs).array()
-        caches = [_build_matrix_cell(cell, num_partitions=num_partitions,
-                                     ways=ways, backend=backend, seed=seed,
-                                     addrs=shared)
-                  for cell in cells]
-        if backend == "object":
-            for cache in caches:
-                if hasattr(cache, "partition_stats"):
-                    for a, p in zip(shared.tolist(), parts.tolist()):
-                        cache.access(a, p)
-                else:
-                    for a in shared.tolist():
-                        cache.access(a)
-        else:
-            tasks = []
-            for cache in caches:
-                if hasattr(cache, "partition_stats"):
-                    tasks.append(cache.replay_task(shared, parts))
-                else:
-                    tasks.append(cache.replay_task(shared))
-            run_tasks(tasks, threads=threads)
+        if isinstance(trace, Trace):
+            shared = replace(trace, addresses=shared)
+        return run_sweep(shared, configs, threads=threads)
     finally:
-        if trace_store is None:
-            store.close()
-    stats: dict[Hashable, CacheStats] = {}
-    for cell, cache in zip(cells, caches):
-        cell_stats = _matrix_stats(cache)
-        if instructions and not cell_stats.instructions:
-            cell_stats.instructions = instructions
-        stats[cell] = cell_stats
-    return SweepResult(stats, instructions=instructions)
+        store.close()
 
 
 def run_sweep(trace: Trace | np.ndarray | Sequence[int],
@@ -685,14 +619,7 @@ def run_sweep(trace: Trace | np.ndarray | Sequence[int],
             [SweepJob(trace=source, configs=shard, backend=backend)
              for shard in deal(configs, max_workers)],
             bank=bank, max_workers=max_workers))
-    if isinstance(trace, Trace):
-        addrs = np.ascontiguousarray(trace.addresses, dtype=np.int64)
-        instructions = trace.instructions
-    else:
-        addrs = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
-        instructions = 0
-    if addrs.ndim != 1:
-        raise ValueError("trace must be one-dimensional")
+    addrs, instructions = _addresses(trace)
     stats: dict[Hashable, CacheStats] = {}
     if resolve_parallel() == "threads":
         width = thread_width(threads, max_workers)

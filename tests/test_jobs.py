@@ -8,9 +8,9 @@ import pytest
 
 from repro.cache.threadbatch import deal
 from repro.jobs import (CacheJob, FaultPlan, InlineTrace, JobFailed, JobQueue,
-                        JobState, MatrixSweepJob, MixSweepJob, ResultBank,
-                        RetryPolicy, SweepJob, TraceRef, as_trace_source,
-                        canonical_json, code_version, job_key, run_jobs)
+                        JobState, MixSweepJob, ResultBank, RetryPolicy,
+                        SweepJob, TraceRef, as_trace_source, canonical_json,
+                        code_version, job_key, run_jobs)
 from repro.jobs.cli import main as cli_main
 from tests.faults import fault_queue, small_spec, small_trace
 
@@ -306,53 +306,73 @@ class TestPayloadRoundTrips:
 
 
 class TestMatrixSweepJobs:
+    """A supervised matrix is ``run_sweep`` over ``matrix_configs``: its
+    cells ride ordinary :class:`SweepJob` shards."""
+
     KWARGS = dict(sizes_mb=(0.25, 0.5), policies=("LRU", "TA-DRRIP"),
                   schemes=("none", "way"), num_partitions=2, seed=9)
 
-    def test_shards_group_by_policy_scheme_row(self):
-        shards = MatrixSweepJob.shards_for_matrix(small_trace(),
-                                                  **self.KWARGS)
-        rows = [{cell[:2] for cell in shard.cells} for shard in shards]
-        assert all(len(row) == 1 for row in rows)
-        assert sorted(next(iter(row)) for row in rows) == \
-            sorted((p, s) for p in self.KWARGS["policies"]
-                   for s in self.KWARGS["schemes"])
-        assert all(len(shard.cells) == 2 for shard in shards)
+    @staticmethod
+    def _configs(**overrides):
+        from repro.sim.sweep import matrix_configs
+        kwargs = {**TestMatrixSweepJobs.KWARGS, **overrides}
+        return matrix_configs(kwargs.pop("sizes_mb"),
+                              kwargs.pop("policies"),
+                              kwargs.pop("schemes"), **kwargs)
+
+    def test_configs_key_every_matrix_cell(self):
+        from repro.cache.spec import CacheSpec, PartitionSpec
+        from repro.sim.sweep import matrix_cells
+        configs = self._configs()
+        assert tuple(c.key for c in configs) == matrix_cells(
+            self.KWARGS["sizes_mb"], self.KWARGS["policies"],
+            self.KWARGS["schemes"])
+        for config in configs:
+            policy, scheme, _ = config.key
+            spec_type = CacheSpec if scheme == "none" else PartitionSpec
+            assert isinstance(config.spec, spec_type), config.key
+            assert config.spec.policy == policy
+        # Randomized policies carry a per-cell seed; LRU carries none.
+        seeded = [c for c in configs if c.key[0] == "TA-DRRIP"]
+        assert all(c.spec.seed is not None for c in seeded
+                   if c.key[1] == "none")
+        assert all(dict(c.spec.policy_kwargs).get("seed") is not None
+                   for c in seeded if c.key[1] != "none")
 
     def test_supervised_matrix_matches_direct_and_resumes(self, tmp_path):
-        from repro.sim.sweep import SweepResult, run_matrix_sweep
+        from repro.sim.sweep import run_matrix_sweep, run_sweep
         trace = small_trace()
         direct = run_matrix_sweep(trace, **self.KWARGS)
-        supervised = SweepResult.merge(run_jobs(
-            MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS),
-            bank=tmp_path, max_workers=2))
+        supervised = run_sweep(trace, self._configs(), supervise=True,
+                               bank=tmp_path, max_workers=2)
         assert set(supervised.stats) == set(direct.stats)
         for key, stats in direct.stats.items():
             assert supervised.stats[key].misses == stats.misses, key
             assert supervised.stats[key].accesses == stats.accesses, key
         # A resubmission replays nothing: every cell is already banked.
         bank = ResultBank(tmp_path)
-        shards = MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS)
-        for shard in shards:
-            for cell in shard.cells:
-                assert bank.get(shard.unit_key(cell)) is not None, cell
-        resumed = SweepResult.merge(run_jobs(
-            MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS),
-            bank=tmp_path, max_workers=2))
+        source = as_trace_source(trace)
+        for shard in deal(self._configs(), 2):
+            job = SweepJob(trace=source, configs=shard)
+            for config in shard:
+                assert bank.get(job.unit_key(config)) is not None, \
+                    config.key
+        resumed = run_sweep(trace, self._configs(), supervise=True,
+                            bank=tmp_path, max_workers=2)
         for key, stats in direct.stats.items():
             assert resumed.stats[key].misses == stats.misses, key
 
     def test_unit_keys_are_shard_independent(self):
-        trace = small_trace()
-        whole = MatrixSweepJob.shards_for_matrix(trace, **self.KWARGS)
-        cell = whole[0].cells[0]
-        solo = MatrixSweepJob(trace=as_trace_source(trace), cells=(cell,),
-                              num_partitions=2, seed=9)
-        assert solo.unit_key(cell) == whole[0].unit_key(cell)
+        source = as_trace_source(small_trace())
+        configs = self._configs()
+        whole = SweepJob(trace=source, configs=configs)
+        solo = SweepJob(trace=source, configs=configs[:1])
+        assert solo.unit_key(configs[0]) == whole.unit_key(configs[0])
 
     def test_empty_matrix_rejected(self):
+        # Belady has no partitioned organization: no cells remain.
         with pytest.raises(ValueError, match="cell"):
-            MatrixSweepJob(trace=as_trace_source(small_trace()), cells=())
+            self._configs(policies=("Belady",), schemes=("way",))
 
 
 class TestCli:
@@ -396,9 +416,9 @@ class TestCli:
                 "--partitions", "2", "--workers", "2"]
         assert cli_main(argv) == 0
         report = json.loads(capsys.readouterr().out)
-        # One job per (policy, scheme) row of the matrix.
-        assert len(report["jobs"]) == 4
-        assert all(j["payload"] == "MatrixSweepJob" for j in report["jobs"])
+        # The four cells are dealt into one SweepJob shard per worker.
+        assert len(report["jobs"]) == 2
+        assert all(j["payload"] == "SweepJob" for j in report["jobs"])
         assert all(j["state"] == "succeeded" for j in report["jobs"])
         # Resubmission is satisfied straight from the bank.
         assert cli_main(argv) == 0

@@ -15,7 +15,8 @@ Three parity ladders anchor the matrix:
 
 On top of those, :func:`~repro.sim.sweep.run_matrix_sweep` must produce
 identical numbers at any thread width and agree with the serial object
-stream on the exact tier.
+stream on the exact tier, and a bare ``PartitionSpec`` sweep point must
+equal its matrix cell.
 """
 
 from __future__ import annotations
@@ -328,18 +329,24 @@ class TestMatrixSweep:
         for key in arr.stats:
             assert arr.stats[key].misses == obj.stats[key].misses, key
 
-    def test_parts_steer_partitioned_cells(self):
+    @pytest.mark.parametrize("backend", ["array", "object"])
+    def test_bare_partition_spec_config_matches_matrix_cell(self, backend):
+        """A bare PartitionSpec sweep point replays every access into
+        partition 0, exactly as the matching matrix cell does."""
+        from repro.sim.sweep import SweepConfig, run_sweep
+        from repro.workloads.scale import paper_mb_to_lines
         trace = _mixed_trace(4000, seed=25)
-        parts = (np.arange(trace.size) % 2).astype(np.int64)
-        result = run_matrix_sweep(trace, sizes_mb=(0.25,),
-                                  policies=("LRU",), schemes=("way",),
-                                  num_partitions=2, parts=parts)
-        stats = result.stats[("LRU", "way", 0.25)]
+        spec = PartitionSpec(scheme="way", capacity_lines=paper_mb_to_lines(
+            0.25), num_partitions=2, policy="SRRIP", backend=backend)
+        result = run_sweep(trace, [SweepConfig(key="way", size_mb=0.25,
+                                               spec=spec)])
+        cell = run_matrix_sweep(trace, sizes_mb=(0.25,), policies=("SRRIP",),
+                                schemes=("way",), num_partitions=2,
+                                backend=backend).stats[("SRRIP", "way", 0.25)]
+        stats = result.stats["way"]
         assert stats.accesses == trace.size
-        with pytest.raises(ValueError, match="shape"):
-            run_matrix_sweep(trace, sizes_mb=(0.25,), policies=("LRU",),
-                             schemes=("way",), num_partitions=2,
-                             parts=parts[:-1])
+        assert (stats.accesses, stats.hits, stats.misses) == \
+            (cell.accesses, cell.hits, cell.misses)
 
     def test_executed_tadrrip_shared_run(self):
         """The execution-driven TA-DRRIP baseline: all apps share one
