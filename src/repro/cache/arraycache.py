@@ -95,10 +95,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _native
 from ._native import get_kernel
-from .cache import CacheStats, materialize_addresses
+from .cache import CacheStats, _fold, materialize_addresses
 from .hashing import GOLDEN64 as _GOLDEN
 from .hashing import mix64, seed_mix
+from .threadbatch import ReplayTask, i64_ptr, run_tasks, u64_ptr
 
 __all__ = ["ArraySetAssociativeCache", "ArrayBeladyCache", "ARRAY_POLICIES",
            "ARRAY_EXACT_POLICIES", "belady_next_use", "run_lru_family_batch"]
@@ -706,35 +708,12 @@ class ArraySetAssociativeCache:
             instructions: int = 0, thread_ids=None) -> CacheStats:
         """Replay a trace; returns (and stores) the accumulated stats.
 
-        Uses the native kernel when available, the Python access path
-        otherwise — results are identical either way.  ``thread_ids``
-        (TA-DRRIP only) attributes each access to a stream; omitted, every
-        access belongs to stream 0.
+        A one-task batch of :meth:`replay_task`: the native kernel when
+        available, the Python access path otherwise — results are
+        identical either way.  ``thread_ids`` (TA-DRRIP only) attributes
+        each access to a stream; omitted, every access belongs to stream 0.
         """
-        addrs = materialize_addresses(trace)
-        if addrs.ndim != 1:
-            raise ValueError("trace must be one-dimensional")
-        if addrs.size and bool(np.any(addrs == _EMPTY)):
-            raise ValueError("address -1 is reserved as the empty-way "
-                             "sentinel; the array backend cannot cache it")
-        tids = self._materialize_tids(addrs, thread_ids)
-        kernel = get_kernel()
-        if kernel is None or self.ways == 0 or self.num_sets == 0:
-            # No kernel, or a zero-capacity warm-resized region (the
-            # kernels index per-way rows, which a zero-way geometry does
-            # not have; the Python path advances the capacity-independent
-            # side state exactly).
-            if tids is None:
-                for a in addrs.tolist():
-                    self.access(a)
-            else:
-                for a, tid in zip(addrs.tolist(), tids.tolist()):
-                    self.access(a, tid)
-        elif addrs.size:
-            misses = self._run_native(kernel, addrs, tids)
-            self.stats.accesses += int(addrs.size)
-            self.stats.misses += misses
-            self.stats.hits += int(addrs.size) - misses
+        run_tasks([self.replay_task(trace, thread_ids)], threads=1)
         if instructions:
             self.stats.instructions += instructions
         return self.stats
@@ -758,72 +737,29 @@ class ArraySetAssociativeCache:
             misses=self.stats.misses - before.misses,
             instructions=self.stats.instructions - before.instructions)
 
-    def _run_native(self, kernel, addrs: np.ndarray,
-                    tids: np.ndarray | None = None) -> int:
-        hashed = 1 if self.hashed_index else 0
-        if self.policy == "TA-DRRIP":
-            if tids is None:
-                tids = np.zeros(addrs.size, dtype=np.int64)
-            misses = kernel.tadrrip_run(addrs, tids, self.num_sets,
-                                        self.ways, self.max_rrpv, self.tags,
-                                        self.rrpv, self.stamp, self._counter,
-                                        self.epsilon, self._rng_state,
-                                        self._psel, self.num_streams,
-                                        self._psel_max, self._leader_levels,
-                                        self._tad_misses, hashed,
-                                        self.index_seed)
-            if misses < 0:
-                raise ValueError(
-                    f"thread ids must be in [0, {self.num_streams})")
-            return misses
-        if self.policy in _RRIP_FAMILY:
-            return kernel.rrip_run(addrs, self.num_sets, self.ways,
-                                   self.max_rrpv, self.tags, self.rrpv,
-                                   self.stamp, self._counter,
-                                   _MODE[self.policy], self.epsilon,
-                                   self._rng_state, self._roles, self._psel,
-                                   self._psel_max, self._leader_levels,
-                                   hashed, self.index_seed)
-        if self.policy in _DIP_FAMILY:
-            return kernel.dip_run(addrs, self.num_sets, self.ways,
-                                  self.tags, self.stamp, self._counter,
-                                  _DIP_MODE[self.policy], self.epsilon,
-                                  self._rng_state, self._roles, self._psel,
-                                  self._psel_max, self._leader_levels,
-                                  hashed, self.index_seed)
-        if self.policy == "PDP":
-            return kernel.pdp_run(addrs, self.num_sets, self.ways,
-                                  self.tags, self.stamp, self._counter,
-                                  self.expires, self._pdp_clock,
-                                  self._pdp_dp, self._pdp_samples,
-                                  self._pdp_hist, self._pdp_max_dp,
-                                  self._pdp_interval,
-                                  self._pdp_clear_threshold,
-                                  self._ls_tags, self._ls_clocks,
-                                  self._ls_count, self._pdp_tsize,
-                                  hashed, self.index_seed)
-        if self.policy == "Random":
-            return kernel.random_run(addrs, self.num_sets, self.ways,
-                                     self.tags, self._rng_state,
-                                     hashed, self.index_seed)
-        return kernel.lru_run(addrs, self.num_sets, self.ways,
-                              self.tags, self.stamp, self._counter,
-                              1 if self.policy == "LIP" else 0,
-                              hashed, self.index_seed)
+    def _replay_python(self, addrs: np.ndarray,
+                       tids: np.ndarray | None) -> None:
+        """Per-access replay through :meth:`access` (stats included)."""
+        if tids is None:
+            for a in addrs.tolist():
+                self.access(a)
+        else:
+            for a, tid in zip(addrs.tolist(), tids.tolist()):
+                self.access(a, tid)
 
     def replay_task(self, trace, thread_ids=None):
         """This cache's replay of ``trace`` as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask`.
 
-        The packed fields mirror :meth:`_run_native` member for member and
-        the commit folds the statistics exactly as :meth:`run` does, so a
-        task executed by the threaded dispatcher — at any width — is
-        bit-identical to calling :meth:`run` directly.  Without a kernel
-        (or at zero geometry) the task carries :meth:`run` itself as its
-        fallback.  ``thread_ids`` is TA-DRRIP's per-access stream lane.
+        The one encoding of this cache's kernel call: :meth:`run` executes
+        it as a one-task batch, and the threaded dispatcher runs it
+        bit-identically at any width.  Without a kernel, at zero geometry
+        (the kernels index per-way rows, which a zero-way warm-resized
+        region does not have; the Python path advances the
+        capacity-independent side state exactly) or on an empty chunk, the
+        task falls back to the per-access Python path.  ``thread_ids`` is
+        TA-DRRIP's per-access stream lane.
         """
-        from . import _native
-        from .threadbatch import ReplayTask, i64_ptr, u64_ptr
         addrs = materialize_addresses(trace)
         if addrs.ndim != 1:
             raise ValueError("trace must be one-dimensional")
@@ -831,11 +767,10 @@ class ArraySetAssociativeCache:
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
         tids = self._materialize_tids(addrs, thread_ids)
-        kernel = get_kernel()
-        if (kernel is None or not kernel.has_batch or self.ways == 0
-                or self.num_sets == 0 or addrs.size == 0):
+        if (get_kernel() is None or self.ways == 0 or self.num_sets == 0
+                or addrs.size == 0):
             return ReplayTask(
-                fallback=lambda: self.run(addrs, thread_ids=tids))
+                fallback=lambda: self._replay_python(addrs, tids))
         n = int(addrs.size)
         fields = {
             "addrs": i64_ptr(addrs), "n": n,
@@ -887,15 +822,8 @@ class ArraySetAssociativeCache:
             fields.update(kind=_native.KIND_LRU,
                           lip=1 if self.policy == "LIP" else 0)
 
-        def commit(misses: int) -> None:
-            if misses < 0:
-                raise ValueError(
-                    f"thread ids must be in [0, {self.num_streams})")
-            self.stats.accesses += n
-            self.stats.misses += misses
-            self.stats.hits += n - misses
-
-        return ReplayTask(fields=fields, refs=refs, commit=commit)
+        return ReplayTask(fields=fields, refs=refs,
+                          commit=lambda misses: _fold(self.stats, n, misses))
 
     # ------------------------------------------------------------------ #
     # Warm resizing (the reallocation primitive of the resumable runtime)
@@ -1220,24 +1148,9 @@ class ArrayBeladyCache:
 
     def run(self, trace=None, instructions: int = 0) -> CacheStats:
         """Replay the next chunk of the attached trace (all of it when
-        ``trace`` is None); returns (and stores) the accumulated stats."""
-        start, addrs = self._claim(trace)
-        n = int(addrs.size)
-        if n:
-            nu = self._next_use[start:start + n]
-            kernel = get_kernel()
-            if kernel is None:
-                misses = self._replay_python(addrs, nu)
-            else:
-                misses = kernel.belady_run(addrs, nu, self.capacity,
-                                           self._ht_tag, self._ht_val,
-                                           self._heap_key, self._heap_tag,
-                                           self._heap_io)
-                if misses < 0:
-                    raise RuntimeError("belady_run: corrupt heap state")
-            self.stats.accesses += n
-            self.stats.misses += misses
-            self.stats.hits += n - misses
+        ``trace`` is None) as a one-task batch of :meth:`replay_task`;
+        returns (and stores) the accumulated stats."""
+        run_tasks([self.replay_task(trace)], threads=1)
         if instructions:
             self.stats.instructions += instructions
         return self.stats
@@ -1344,18 +1257,20 @@ class ArrayBeladyCache:
     def replay_task(self, trace=None):
         """The next chunk's replay as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask` (claims the chunk
-        immediately; the dispatcher commits its statistics)."""
-        from . import _native
-        from .threadbatch import ReplayTask, i64_ptr
+        immediately; the dispatcher commits its statistics).  The one
+        encoding of this cache's ``belady_run`` call: :meth:`run` executes
+        it as a one-task batch; without a kernel, or on an empty chunk,
+        the task falls back to :meth:`_replay_python`."""
         start, addrs = self._claim(trace)
         n = int(addrs.size)
         nu = self._next_use[start:start + n]
-        kernel = get_kernel()
-        if kernel is None or not kernel.has_batch or n == 0:
-            def fallback():
-                self._cursor = start  # run() re-claims the chunk
-                return self.run(addrs)
-            return ReplayTask(fallback=fallback)
+
+        def commit(misses: int) -> None:
+            _fold(self.stats, n, misses)
+
+        if get_kernel() is None or n == 0:
+            return ReplayTask(
+                fallback=lambda: commit(self._replay_python(addrs, nu)))
         fields = {
             "kind": _native.KIND_BELADY, "addrs": i64_ptr(addrs), "n": n,
             "capacity": self.capacity, "next_use": i64_ptr(nu),
@@ -1365,14 +1280,6 @@ class ArrayBeladyCache:
             "heap_cap": int(self._heap_key.size),
             "heap_io": i64_ptr(self._heap_io),
         }
-
-        def commit(misses: int) -> None:
-            if misses < 0:
-                raise RuntimeError("belady_run: corrupt heap state")
-            self.stats.accesses += n
-            self.stats.misses += misses
-            self.stats.hits += n - misses
-
         return ReplayTask(fields=fields, refs=(addrs, nu), commit=commit)
 
     def to_spec(self):
@@ -1468,8 +1375,5 @@ def run_lru_family_batch(trace, caches: Sequence[ArraySetAssociativeCache]
         cache.tags[:] = flat_tags[start:end].reshape(shape)
         cache.stamp[:] = flat_stamp[start:end].reshape(shape)
         cache._counter[0] = counters[i]
-        m = int(misses[i])
-        cache.stats.accesses += n
-        cache.stats.misses += m
-        cache.stats.hits += n - m
+        _fold(cache.stats, n, int(misses[i]))
     return misses

@@ -106,6 +106,13 @@ class CacheStats:
         )
 
 
+def _fold(stats: CacheStats, accesses: int, misses: int) -> None:
+    """Add one batch replay's access and miss counts to ``stats``."""
+    stats.accesses += accesses
+    stats.misses += misses
+    stats.hits += accesses - misses
+
+
 def lru_factory(region_index: int, capacity: int) -> LRUPolicy:
     """Default policy factory: plain LRU per region."""
     return LRUPolicy(capacity)

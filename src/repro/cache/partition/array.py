@@ -89,12 +89,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .._native import get_kernel
+from .._native import (KIND_PART_LRU, KIND_PART_SRRIP, KIND_VANTAGE,
+                       get_kernel)
 from ..arraycache import (ARRAY_POLICIES, ArraySetAssociativeCache,
                           _dueling_roles, _next_pow2, _splitmix64, _uniform01)
-from ..cache import materialize_addresses
+from ..cache import _fold, materialize_addresses
 from ..hashing import _MASK64, GOLDEN64, mix64, seed_mix
 from ..replacement.lru import LRUPolicy
+from ..threadbatch import ReplayTask, i64_ptr, run_tasks, u64_ptr
 from .base import PartitionedCache, trim_line_allocations
 from .setpart import round_to_sets
 from .vantage import vantage_managed_lines
@@ -125,6 +127,20 @@ _VT_RRIP = ("SRRIP", "BRRIP", "DRRIP", "TA-DRRIP")
 _ROLE_FOLLOWER, _ROLE_LEADER_SRRIP, _ROLE_LEADER_BRRIP = 0, 1, 2
 
 _EMPTY = -1
+
+
+def _tagged_trace(trace, parts, num_partitions: int):
+    """A validated partition-tagged trace: contiguous int64
+    ``(addrs, parts)`` plus the per-partition access counts."""
+    addrs = materialize_addresses(trace)
+    parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
+    if addrs.shape != parts.shape or addrs.ndim != 1:
+        raise ValueError("trace and parts must be 1-D and equally long")
+    if addrs.size and (int(parts.min()) < 0
+                       or int(parts.max()) >= num_partitions):
+        raise ValueError(f"partition ids must be in [0, {num_partitions})")
+    accesses = np.bincount(parts, minlength=num_partitions).astype(np.int64)
+    return addrs, parts, accesses
 
 
 class _FastIdealLRURegion:
@@ -528,6 +544,8 @@ class ArrayPartitionedCache(PartitionedCache):
     def run_partitioned(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay a trace with per-access partition ids in one batch.
 
+        A one-task batch of :meth:`replay_task`.
+
         Parameters
         ----------
         trace:
@@ -542,45 +560,9 @@ class ArrayPartitionedCache(PartitionedCache):
             Per-partition statistics are updated as the per-access path
             would (counts are order-independent, so both paths agree).
         """
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        accesses = np.zeros(self.num_partitions, dtype=np.int64)
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size == 0:
-            return accesses, misses
-        if int(parts.min()) < 0 or int(parts.max()) >= self.num_partitions:
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
-        accesses += np.bincount(parts, minlength=self.num_partitions)
-        kernel = get_kernel()
-        if self._flat_ready and kernel is not None:
-            if bool(np.any(addrs == _EMPTY)):
-                raise ValueError("address -1 is reserved as the empty-way "
-                                 "sentinel; the array backend cannot cache it")
-            self._run_part_kernel(kernel, addrs, parts, accesses, misses)
-        else:
-            for p in range(self.num_partitions):
-                if accesses[p] == 0:
-                    continue
-                sub = addrs[parts == p]
-                region = self._regions[p]
-                if region is None:
-                    misses[p] = sub.size
-                elif isinstance(region, _FastIdealLRURegion):
-                    misses[p] = region.run_batch(sub)
-                else:
-                    before = region.stats.misses
-                    region.run(sub)
-                    misses[p] = region.stats.misses - before
-        for p in range(self.num_partitions):
-            stats = self.partition_stats[p]
-            a, m = int(accesses[p]), int(misses[p])
-            stats.accesses += a
-            stats.misses += m
-            stats.hits += a - m
-        return accesses, misses
+        task, accesses = self._tagged_task(trace, parts)
+        run_tasks([task], threads=1)
+        return accesses, task.misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay one chunk of a partition-tagged trace.
@@ -593,59 +575,46 @@ class ArrayPartitionedCache(PartitionedCache):
         """
         return self.run_partitioned(trace, parts)
 
-    def _run_part_kernel(self, kernel, addrs: np.ndarray, parts: np.ndarray,
-                         accesses: np.ndarray, miss_out: np.ndarray) -> None:
-        hashed = 1 if self.hashed_index else 0
-        if self.policy == "SRRIP":
-            result = kernel.part_srrip_run(
-                addrs, parts, self.num_partitions, self._region_sets,
-                self._region_ways, self._region_off, self._flat_tags,
-                self._flat_rrpv, self._flat_stamp, self._shared_counter,
-                self._max_rrpv, miss_out, hashed, self.index_seed)
-        else:
-            result = kernel.part_lru_run(
-                addrs, parts, self.num_partitions, self._region_sets,
-                self._region_ways, self._region_off, self._flat_tags,
-                self._flat_stamp, self._shared_counter,
-                1 if self.policy == "LIP" else 0, miss_out, hashed,
-                self.index_seed)
-        if result < 0:
-            raise RuntimeError("native partitioned replay rejected the input")
-        # Keep the per-region counters coherent with the split path.
-        for p, region in enumerate(self._regions):
-            if region is None:
-                continue
-            sub_accesses = int(accesses[p])
-            sub_misses = int(miss_out[p])
-            region.stats.accesses += sub_accesses
-            region.stats.misses += sub_misses
-            region.stats.hits += sub_accesses - sub_misses
-
     def replay_task(self, trace, parts):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
-        replaying a partition-tagged trace (the threaded twin of
-        :meth:`run_partitioned`; per-partition misses land in the task's
-        ``misses`` array on both paths)."""
-        from .._native import KIND_PART_LRU, KIND_PART_SRRIP
-        from ..threadbatch import ReplayTask, i64_ptr
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
+        replaying a partition-tagged trace.
+
+        The one encoding of this cache's ``part_lru_run``/
+        ``part_srrip_run`` call (:meth:`run_partitioned` executes it as a
+        one-task batch).  Ideal partitions, the policies without a part
+        kernel, a missing kernel and an empty chunk fall back to one
+        replay per region.  Per-partition misses land in the task's
+        ``misses`` array on both paths.
+        """
+        return self._tagged_task(trace, parts)[0]
+
+    def _tagged_task(self, trace, parts):
+        """:meth:`replay_task` plus the replay's per-partition accesses."""
+        addrs, parts, accesses = _tagged_trace(trace, parts,
+                                               self.num_partitions)
         miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size:
-            if int(parts.min()) < 0 or int(parts.max()) >= self.num_partitions:
-                raise ValueError(
-                    f"partition ids must be in [0, {self.num_partitions})")
-        accesses = np.bincount(parts, minlength=self.num_partitions) \
-            .astype(np.int64)
-        kernel = get_kernel()
-        if (not self._flat_ready or kernel is None or not kernel.has_batch
-                or addrs.size == 0):
+        touched = np.flatnonzero(accesses).tolist()
+
+        def fold_partitions() -> None:
+            for p in touched:
+                _fold(self.partition_stats[p], int(accesses[p]),
+                      int(miss_out[p]))
+
+        if not self._flat_ready or get_kernel() is None or addrs.size == 0:
             def fallback() -> None:
-                _, misses = self.run_partitioned(addrs, parts)
-                miss_out[:] += np.asarray(misses, dtype=np.int64)
-            return ReplayTask(fallback=fallback, misses=miss_out)
+                for p in touched:
+                    sub = addrs[parts == p]
+                    region = self._regions[p]
+                    if region is None:
+                        miss_out[p] = sub.size
+                    elif isinstance(region, _FastIdealLRURegion):
+                        miss_out[p] = region.run_batch(sub)
+                    else:
+                        before = region.stats.misses
+                        region.run(sub)
+                        miss_out[p] = region.stats.misses - before
+                fold_partitions()
+            return ReplayTask(fallback=fallback, misses=miss_out), accesses
         if bool(np.any(addrs == _EMPTY)):
             raise ValueError("address -1 is reserved as the empty-way "
                              "sentinel; the array backend cannot cache it")
@@ -672,24 +641,17 @@ class ArrayPartitionedCache(PartitionedCache):
             fields.update(lip=1 if self.policy == "LIP" else 0)
 
         def commit(_total: int) -> None:
-            # The same two folds run_partitioned performs around
-            # _run_part_kernel: per-region stats, then partition stats.
-            for p, region in enumerate(self._regions):
-                if region is None:
-                    continue
-                a, m = int(accesses[p]), int(miss_out[p])
-                region.stats.accesses += a
-                region.stats.misses += m
-                region.stats.hits += a - m
-            for p in range(self.num_partitions):
-                stats = self.partition_stats[p]
-                a, m = int(accesses[p]), int(miss_out[p])
-                stats.accesses += a
-                stats.misses += m
-                stats.hits += a - m
+            # Keep the per-region counters coherent with the per-region
+            # fallback, which replays through each region's own run().
+            for p in touched:
+                region = self._regions[p]
+                if region is not None:
+                    _fold(region.stats, int(accesses[p]), int(miss_out[p]))
+            fold_partitions()
 
-        return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
+        task = ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
                           commit=commit, misses=miss_out)
+        return task, accesses
 
     # ------------------------------------------------------------------ #
     def reset_stats(self) -> None:
@@ -989,32 +951,18 @@ class ArrayVantageCache(PartitionedCache):
     # ------------------------------------------------------------------ #
     def access(self, address: int, partition: int) -> bool:
         self._check_partition(partition)
-        accesses, misses = self._replay(
+        _, misses = self.run_partitioned(
             np.asarray([address], dtype=np.int64),
             np.asarray([partition], dtype=np.int64))
-        hit = int(misses[partition]) == 0
-        self.record(partition, hit)
-        return hit
+        return int(misses[partition]) == 0
 
     def run_partitioned(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
-        """Replay a partition-tagged trace in one batch (see
+        """Replay a partition-tagged trace as a one-task batch of
+        :meth:`replay_task` (see
         :meth:`ArrayPartitionedCache.run_partitioned`)."""
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        if addrs.size and (int(parts.min()) < 0
-                           or int(parts.max()) >= self.num_partitions):
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
-        accesses, misses = self._replay(addrs, parts)
-        for p in range(self.num_partitions):
-            stats = self.partition_stats[p]
-            a, m = int(accesses[p]), int(misses[p])
-            stats.accesses += a
-            stats.misses += m
-            stats.hits += a - m
-        return accesses, misses
+        task, accesses = self._tagged_task(trace, parts)
+        run_tasks([task], threads=1)
+        return accesses, task.misses
 
     def run_chunk(self, trace, parts) -> tuple[np.ndarray, np.ndarray]:
         """Replay one chunk (state carries across calls; chunked and
@@ -1023,27 +971,29 @@ class ArrayVantageCache(PartitionedCache):
 
     def replay_task(self, trace, parts):
         """One batchable :class:`~repro.cache.threadbatch.ReplayTask`
-        replaying a partition-tagged trace through the Vantage kernel
-        (threaded twin of :meth:`run_partitioned`)."""
-        from .._native import KIND_VANTAGE
-        from ..threadbatch import ReplayTask, i64_ptr, u64_ptr
-        addrs = materialize_addresses(trace)
-        parts = np.ascontiguousarray(np.asarray(parts, dtype=np.int64))
-        if addrs.shape != parts.shape or addrs.ndim != 1:
-            raise ValueError("trace and parts must be 1-D and equally long")
-        if addrs.size and (int(parts.min()) < 0
-                           or int(parts.max()) >= self.num_partitions):
-            raise ValueError(
-                f"partition ids must be in [0, {self.num_partitions})")
+        replaying a partition-tagged trace: the one encoding of this
+        cache's ``vantage_run`` call (:meth:`run_partitioned` executes it
+        as a one-task batch).  Without a kernel, or on an empty chunk, the
+        task falls back to the pure-Python twin."""
+        return self._tagged_task(trace, parts)[0]
+
+    def _tagged_task(self, trace, parts):
+        """:meth:`replay_task` plus the replay's per-partition accesses."""
+        addrs, parts, accesses = _tagged_trace(trace, parts,
+                                               self.num_partitions)
         miss_out = np.zeros(self.num_partitions, dtype=np.int64)
-        accesses = np.bincount(parts, minlength=self.num_partitions) \
-            .astype(np.int64)
-        kernel = get_kernel()
-        if kernel is None or not kernel.has_batch or addrs.size == 0:
+        touched = np.flatnonzero(accesses).tolist()
+
+        def commit(_total: int) -> None:
+            for p in touched:
+                _fold(self.partition_stats[p], int(accesses[p]),
+                      int(miss_out[p]))
+
+        if get_kernel() is None or addrs.size == 0:
             def fallback() -> None:
-                _, misses = self.run_partitioned(addrs, parts)
-                miss_out[:] += np.asarray(misses, dtype=np.int64)
-            return ReplayTask(fallback=fallback, misses=miss_out)
+                self._replay_python(addrs, parts, miss_out)
+                commit(0)
+            return ReplayTask(fallback=fallback, misses=miss_out), accesses
         fields = {
             "kind": KIND_VANTAGE,
             "addrs": i64_ptr(addrs), "n": int(addrs.size),
@@ -1081,46 +1031,9 @@ class ArrayVantageCache(PartitionedCache):
             "occ": i64_ptr(self._occ), "free_io": i64_ptr(self._free),
             "miss_out": i64_ptr(miss_out),
         }
-
-        def commit(_total: int) -> None:
-            for p in range(self.num_partitions):
-                stats = self.partition_stats[p]
-                a, m = int(accesses[p]), int(miss_out[p])
-                stats.accesses += a
-                stats.misses += m
-                stats.hits += a - m
-
-        return ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
+        task = ReplayTask(fields=fields, refs=(addrs, parts, miss_out),
                           commit=commit, misses=miss_out)
-
-    def _replay(self, addrs: np.ndarray,
-                parts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Advance the state by a validated batch; returns per-partition
-        (accesses, misses) of this batch without touching the stats."""
-        accesses = np.zeros(self.num_partitions, dtype=np.int64)
-        misses = np.zeros(self.num_partitions, dtype=np.int64)
-        if addrs.size == 0:
-            return accesses, misses
-        accesses += np.bincount(parts, minlength=self.num_partitions)
-        kernel = get_kernel()
-        if kernel is not None:
-            result = kernel.vantage_run(
-                addrs, parts, self.num_partitions, self._caps, self._unm_cap,
-                self._pol, self.max_rrpv, self.epsilon, self._counter,
-                self._rng_state, self._roles, self._psel, self._psel_max,
-                self._leader_levels, self._node_aux, self._node_stamp,
-                self._pdp_clock, self._pdp_dp, self._pdp_samples,
-                self._pdp_hist, self._hist_stride, self._vp_maxdp,
-                self._vp_interval, self._vp_clear, self._ls_tags,
-                self._ls_clocks, self._ls_count, self._ls_size,
-                self._ht_tag, self._ht_reg, self._ht_node, self._node_tag,
-                self._node_prev, self._node_next, self._head, self._tail,
-                self._occ, self._free, misses)
-            if result < 0:
-                raise RuntimeError("native Vantage replay rejected the input")
-        else:
-            self._replay_python(addrs, parts, misses)
-        return accesses, misses
+        return task, accesses
 
     # ------------------------------------------------------------------ #
     # Pure-Python twin of the kernel (same arrays, same algorithm)
@@ -1469,6 +1382,8 @@ class ArrayVantageCache(PartitionedCache):
 
     def _replay_python(self, addrs: np.ndarray, parts: np.ndarray,
                        miss_out: np.ndarray) -> None:
+        if addrs.size == 0:
+            return
         state = self._state_lists()
         free_box = [int(self._free[0])]
         (lookup, delete, list_remove, list_push, release, demote,

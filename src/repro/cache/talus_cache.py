@@ -24,9 +24,10 @@ from typing import Sequence
 import numpy as np
 
 from ..core.talus import TalusConfig
-from .cache import CacheStats, materialize_addresses
+from .cache import CacheStats, _fold, materialize_addresses
 from .hashing import SamplingFunction
 from .partition.base import PartitionedCache
+from .threadbatch import ReplayTask, run_tasks
 
 __all__ = ["TalusCache", "ShadowPair"]
 
@@ -199,49 +200,40 @@ class TalusCache:
     def run(self, trace, logical: int = 0, instructions: int = 0) -> CacheStats:
         """Replay a trace on behalf of one logical partition.
 
-        On an array-backed base (:attr:`supports_batch_replay`) the whole
-        trace is steered in one vectorized H3 pass and replayed through
-        ``run_partitioned`` — bit-identical to the per-access path, since
-        the sampling function is a pure function of the address.
+        On an array-backed base (:attr:`supports_batch_replay`) this is a
+        one-task batch of :meth:`replay_task`: the whole trace is steered
+        in one vectorized H3 pass and replayed through the base cache's
+        task — bit-identical to the per-access path, since the sampling
+        function is a pure function of the address.
         """
         self._check_logical(logical)
         if self.supports_batch_replay:
-            addrs = materialize_addresses(trace)
-            pair = self._pairs[logical]
-            hashes = pair.sampler.hash.hash_array(addrs)
-            parts = np.where(hashes < np.uint64(pair.sampler.limit),
-                             pair.alpha_index, pair.beta_index
-                             ).astype(np.int64)
-            _, misses = self.base.run_partitioned(addrs, parts)
-            stats = self.logical_stats[logical]
-            n = int(addrs.size)
-            m = int(misses[pair.alpha_index] + misses[pair.beta_index])
-            stats.accesses += n
-            stats.misses += m
-            stats.hits += n - m
+            run_tasks([self.replay_task(trace, logical)], threads=1)
         else:
-            for address in trace:
-                self.access(int(address), logical)
+            self._access_each(trace, logical)
         if instructions:
             self.logical_stats[logical].instructions += instructions
         return self.logical_stats[logical]
+
+    def _access_each(self, trace, logical: int) -> None:
+        for address in trace:
+            self.access(int(address), logical)
 
     def replay_task(self, trace, logical: int = 0):
         """This logical partition's replay of ``trace`` as a batchable
         :class:`~repro.cache.threadbatch.ReplayTask`.
 
-        Steering is the same vectorized H3 pass :meth:`run` performs; the
-        resulting partition-tagged replay is delegated to the base cache's
+        The trace is steered in one vectorized H3 pass; the resulting
+        partition-tagged replay is delegated to the base cache's
         ``replay_task`` with a chained hook folding the logical-partition
-        statistics — so a batched Talus task commits exactly what
-        :meth:`run` would have recorded.
+        statistics.  A base without ``run_partitioned`` (the object model)
+        replays access by access in the task's fallback.
         """
-        from .threadbatch import ReplayTask
         self._check_logical(logical)
         addrs = materialize_addresses(trace)
-        if not self.supports_batch_replay \
-                or not hasattr(self.base, "replay_task"):
-            return ReplayTask(fallback=lambda: self.run(addrs, logical))
+        if not self.supports_batch_replay:
+            return ReplayTask(
+                fallback=lambda: self._access_each(addrs, logical))
         pair = self._pairs[logical]
         hashes = pair.sampler.hash.hash_array(addrs)
         parts = np.where(hashes < np.uint64(pair.sampler.limit),
@@ -252,11 +244,8 @@ class TalusCache:
         n = int(addrs.size)
 
         def fold() -> None:
-            m = int(pair_misses[pair.alpha_index]
-                    + pair_misses[pair.beta_index])
-            stats.accesses += n
-            stats.misses += m
-            stats.hits += n - m
+            _fold(stats, n, int(pair_misses[pair.alpha_index]
+                                + pair_misses[pair.beta_index]))
 
         return task.add_callback(fold)
 

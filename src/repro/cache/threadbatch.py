@@ -12,18 +12,19 @@ share a byte of mutable state.  This module is the Python side of the
   kernel path;
 * :func:`run_tasks` packs all native tasks into one ctypes array, makes a
   *single* ``batch_run_threaded`` call (one GIL release, C worker threads
-  inside), then commits each task's statistics exactly as the serial entry
-  points would.
+  inside), then commits each task's statistics.
 
-Because the per-config replay code is untouched — a task is just a
-flattened call into the same kernel the serial path uses — results are
-**bit-identical to serial execution at any thread count**: the kernels
-never read another task's state, and each task's misses land in its own
-``result``/``miss_out`` slots.  ``REPRO_THREADS`` (or an explicit
-``threads=``) controls the worker width; width 1 *is* the serial loop.
+A cache's ``replay_task`` is its one encoding of a kernel call: its
+serial entry points (``run``, ``run_chunk``, ``run_partitioned``) are
+one-task batches, ``run_tasks([cache.replay_task(...)], threads=1)``.
+Results are therefore **bit-identical to serial execution at any thread
+count**: the kernels never read another task's state, and each task's
+misses land in its own ``result``/``miss_out`` slots.  ``REPRO_THREADS``
+(or an explicit ``threads=``) controls the worker width.
 
 Caches advertise the fast path by implementing ``replay_task``
 (:class:`~repro.cache.arraycache.ArraySetAssociativeCache`,
+:class:`~repro.cache.arraycache.ArrayBeladyCache`,
 :class:`~repro.cache.partition.array.ArrayPartitionedCache`,
 :class:`~repro.cache.partition.array.ArrayVantageCache`,
 :class:`~repro.cache.talus_cache.TalusCache`).  Tasks built without a
@@ -147,11 +148,10 @@ class ReplayTask:
         this task; long-lived cache state is kept alive by the cache).
     commit:
         Called with the task's non-negative kernel result after the batch
-        returns; folds the replay into the cache's statistics exactly as
-        the serial entry point would.
+        returns; folds the replay into the cache's statistics.
     fallback:
-        Zero-argument closure replaying through the cache's normal
-        (serial) entry point — used when ``fields`` is ``None``.
+        Zero-argument closure replaying through the cache's Python path
+        (statistics included) — used when ``fields`` is ``None``.
     misses:
         Optional caller-visible per-partition miss array (partitioned
         kinds); the kernel writes it in place, the fallback must fill it.
@@ -200,7 +200,7 @@ class ReplayTask:
             hook()
 
     def run_fallback(self) -> None:
-        """Replay through the serial fallback (identical results)."""
+        """Replay through the Python fallback (identical results)."""
         self._fallback()
         for hook in self._after:
             hook()
@@ -222,7 +222,7 @@ def run_tasks(tasks: Iterable[ReplayTask],
     native = [t for t in tasks if t.native]
     if native:
         kernel = get_kernel()
-        if kernel is None or not kernel.has_batch:
+        if kernel is None:
             # Tasks were built against a kernel that has since become
             # unavailable (should not happen: replay_task checks first).
             raise RuntimeError("native kernel unavailable for batched tasks")

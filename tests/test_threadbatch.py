@@ -15,7 +15,8 @@ import pytest
 
 from repro.cache import _native
 from repro.cache._native import resolve_threads
-from repro.cache.arraycache import ArraySetAssociativeCache
+from repro.cache.arraycache import (ARRAY_POLICIES, ArrayBeladyCache,
+                                   ArraySetAssociativeCache)
 from repro.cache.partition.array import (ArrayPartitionedCache,
                                          ArrayVantageCache)
 from repro.cache.talus_cache import TalusCache
@@ -27,6 +28,15 @@ from repro.workloads.generators import zipfian
 
 #: Thread widths every determinism test sweeps (1 is the serial loop).
 WIDTHS = (1, 2, 8)
+
+#: The per-kernel replay bindings; every replay goes through the batch
+#: dispatcher instead, so no serial entry point may call one of these.
+REPLAY_METHODS = ("lru_run", "rrip_run", "dip_run", "pdp_run", "random_run",
+                  "part_lru_run", "part_srrip_run", "tadrrip_run",
+                  "belady_run", "vantage_run")
+
+#: Chunk boundaries of the single-path replays (the middle one is empty).
+CHUNKS = (slice(0, 2_500), slice(2_500, 2_500), slice(2_500, None))
 
 
 def _trace(n=20_000, seed=3):
@@ -53,6 +63,67 @@ def _shard_rows(source, scale, group):
         source = source.array()
     total = 0 if source is None else int(np.sum(source))
     return [(unit, unit * scale + total, os.getpid()) for unit in group]
+
+
+def _single_path_scenarios():
+    """``(name, build, serial, task)`` per serial entry point: ``serial``
+    replays one chunk through the entry point, ``task`` builds the same
+    chunk's replay task."""
+    addrs = _trace(6_000)
+    parts = np.arange(addrs.size, dtype=np.int64) % 4
+    tids = (np.arange(addrs.size, dtype=np.int64) // 7) % 4
+
+    def plain(policy, **kwargs):
+        return lambda: ArraySetAssociativeCache(32, 4, policy=policy,
+                                                **kwargs)
+
+    def partitioned(scheme, policy, sizes=None):
+        def build():
+            if scheme == "vantage":
+                return ArrayVantageCache(512, 4, policy=policy)
+            cache = ArrayPartitionedCache(scheme, 512, 4, policy=policy,
+                                          ways=8)
+            if sizes is not None:
+                cache.reallocate(sizes)
+            return cache
+        return build
+
+    def talus(base, rate):
+        def build():
+            cache = TalusCache(base(), num_logical=2)
+            cache.shadow_pair(1).sampler.set_rate(rate)
+            return cache
+        return build
+
+    run = (lambda c, s: c.run(addrs[s]), lambda c, s: c.replay_task(addrs[s]))
+    run_chunk = (lambda c, s: c.run_chunk(addrs[s]),
+                 lambda c, s: c.replay_task(addrs[s]))
+    threaded = (lambda c, s: c.run_chunk(addrs[s], thread_ids=tids[s]),
+                lambda c, s: c.replay_task(addrs[s], thread_ids=tids[s]))
+    tagged = (lambda c, s: c.run_partitioned(addrs[s], parts[s]),
+              lambda c, s: c.replay_task(addrs[s], parts[s]))
+    logical = (lambda c, s: c.run_chunk(addrs[s], 1),
+               lambda c, s: c.replay_task(addrs[s], 1))
+    scenarios = [(policy, plain(policy), *run)
+                 for policy in ARRAY_POLICIES
+                 if policy not in ("Belady", "TA-DRRIP")]
+    scenarios += [
+        ("TA-DRRIP", plain("TA-DRRIP", num_streams=4), *threaded),
+        ("Belady", lambda: ArrayBeladyCache(600, addrs), *run_chunk),
+        ("way LRU", partitioned("way", "LRU"), *tagged),
+        ("set SRRIP", partitioned("set", "SRRIP"), *tagged),
+        ("ideal LRU", partitioned("ideal", "LRU"), *tagged),
+        # Reallocating partition 1 to nothing resize_ways(0)s its region.
+        ("ideal PDP, one zero-way region",
+         partitioned("ideal", "PDP", [256, 0, 128, 128]), *tagged),
+        ("way DRRIP", partitioned("way", "DRRIP"), *tagged),
+        ("vantage LRU", partitioned("vantage", "LRU"), *tagged),
+        ("vantage DRRIP", partitioned("vantage", "DRRIP"), *tagged),
+        ("talus on way", talus(partitioned("way", "LRU"), 0.4), *logical),
+        ("talus on vantage", talus(partitioned("vantage", "SRRIP"), 0.6),
+         *logical),
+    ]
+    return scenarios
 
 
 def _state_digest(cache):
@@ -174,6 +245,38 @@ class TestReplayTaskDeterminism:
         results["pool"] = run_sweep(trace, spec, max_workers=2)
         for leg, result in results.items():
             assert _sweep_records(result) == base, leg
+
+
+@pytest.mark.skipif(not _native.native_available(),
+                    reason="needs the native kernel")
+class TestSinglePath:
+    """Every serial entry point executes its own ``replay_task``."""
+
+    def test_serial_entry_points_are_one_task_batches(self, monkeypatch):
+        """With the per-kernel replay bindings disabled, every serial
+        entry point — plain policies, TA-DRRIP streams, chunked Belady,
+        way/set/ideal/Vantage partitions, Talus, an empty chunk and a
+        zero-way region — still replays, and lands on the state and
+        statistics of a width-2 batch of the same replays."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a serial entry point called a per-kernel "
+                                 "replay binding")
+
+        for name in REPLAY_METHODS:
+            monkeypatch.setattr(_native.NativeKernel, name, refuse)
+        scenarios = _single_path_scenarios()
+        serial = [build() for _, build, _, _ in scenarios]
+        batched = [build() for _, build, _, _ in scenarios]
+        for chunk in CHUNKS:
+            for cache, (_, _, replay, _) in zip(serial, scenarios):
+                replay(cache, chunk)
+            run_tasks([task(cache, chunk) for cache, (_, _, _, task)
+                       in zip(batched, scenarios)], threads=2)
+        for (name, build, _, _), cache, ref in zip(scenarios, serial,
+                                                   batched):
+            digest = cache.snapshot().digest()
+            assert digest == ref.snapshot().digest(), name
+            assert digest != build().snapshot().digest(), name
 
 
 class TestFallbackPath:
